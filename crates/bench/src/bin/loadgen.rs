@@ -36,19 +36,14 @@
 //! 5x frontier-speedup floor (or on a frontier/naive mismatch). The
 //! frontier CI job writes `BENCH_PR9.json` via `--out`.
 //!
-//! Reactor-era flags (PR 10): `--connections N --duration SECS` switch
-//! the generator into open-loop mode — N persistent connections, each
-//! with a decoupled writer/reader thread pair keeping up to `--pipeline`
-//! (32) frames in flight, running for a fixed wall-clock window instead
-//! of a fixed request count. The report gains `mode`, the `serve`
-//! section (core name plus per-shard accepted/served/shed counters and
-//! rps, diffed across the run from the daemon's `stats` endpoint), and
-//! `--baseline OLD.json --min-speedup X` computes `speedup_vs_baseline`
-//! against a previous report's `throughput_rps`; under `--enforce` the
-//! run fails below the floor. The closed-loop mode and its report shape
-//! are unchanged for BENCH_PR4 comparability; the in-process frontier
-//! micro-bench stays a closed-loop-era gate and is skipped in open-loop
-//! runs (where `--enforce` gates the serving speedup instead).
+//! Open-loop mode: `--connections N --duration SECS` switch the generator
+//! to N persistent connections, each with a decoupled writer/reader
+//! thread pair keeping up to `--pipeline` (32) frames in flight, running
+//! for a fixed wall-clock window instead of a fixed request count. The
+//! report's `mode` says which loop ran. The closed-loop mode and its
+//! report shape are unchanged for BENCH_PR4 comparability; the in-process
+//! frontier micro-bench is a closed-loop gate and is skipped in open-loop
+//! runs.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -84,8 +79,6 @@ struct Config {
     connections: usize,
     duration_secs: f64,
     pipeline: usize,
-    baseline: Option<String>,
-    min_speedup: Option<f64>,
 }
 
 fn parse_args() -> Result<Config, String> {
@@ -109,8 +102,6 @@ fn parse_args() -> Result<Config, String> {
         connections: 0,
         duration_secs: 0.0,
         pipeline: 32,
-        baseline: None,
-        min_speedup: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iter = args.iter().map(String::as_str);
@@ -194,22 +185,11 @@ fn parse_args() -> Result<Config, String> {
                     .parse()
                     .map_err(|e| format!("--pipeline: {e}"))?;
             }
-            "--baseline" => config.baseline = Some(value("--baseline")?.to_owned()),
-            "--min-speedup" => {
-                config.min_speedup = Some(
-                    value("--min-speedup")?
-                        .parse()
-                        .map_err(|e| format!("--min-speedup: {e}"))?,
-                );
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
     if (config.connections > 0) != (config.duration_secs > 0.0) {
         return Err("--connections and --duration enable open-loop mode together".to_owned());
-    }
-    if config.min_speedup.is_some() && config.baseline.is_none() {
-        return Err("--min-speedup needs --baseline".to_owned());
     }
     if config.pipeline == 0 {
         return Err("--pipeline must be at least 1".to_owned());
@@ -475,12 +455,12 @@ struct Window {
 
 /// One open-loop connection: a writer that keeps up to `pipeline` frames
 /// in flight until the deadline, and a reader that matches responses to
-/// their send timestamps FIFO (the protocol answers in order per
-/// connection). The connection persists for the whole window — the
-/// connection-reuse shape the reactor core is built for. The generator
-/// deliberately stays cheap (pre-serialized hot bodies, hand-spliced
-/// frames, batched writes, envelope-scan accounting) so it measures the
-/// daemon rather than its own CPU appetite.
+/// their send timestamps FIFO. The worker pool may answer pipelined
+/// frames out of order, so per-request latencies are approximate; counts
+/// and totals are exact. The connection persists for the whole window.
+/// The generator deliberately stays cheap (pre-serialized hot bodies,
+/// hand-spliced frames, batched writes, envelope-scan accounting) so it
+/// measures the daemon rather than its own CPU appetite.
 #[allow(clippy::too_many_arguments)]
 fn run_open_loop_conn(
     addr: &str,
@@ -628,68 +608,6 @@ fn run_open_loop_conn(
     window.not_empty.notify_all();
     let stats = reader.join().expect("reader thread")?;
     result.map(|()| stats)
-}
-
-/// One round-trip on a fresh connection to the daemon's `stats`
-/// endpoint. Returns the response body, or `None` when anything along
-/// the way fails (the report then simply omits the serve section).
-fn query_stats(addr: &str) -> Option<Value> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    let mut reader = BufReader::new(stream);
-    let mut text = serde_json::to_string(&RequestFrame::new(0, "stats", Value::Null)).ok()?;
-    text.push('\n');
-    writer.write_all(text.as_bytes()).ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    let response: ResponseFrame = serde_json::from_str(&line).ok()?;
-    response.body
-}
-
-/// The report's `serve` section: the daemon's core name and the
-/// per-shard accepted/served/shed deltas across the run (the `stats`
-/// counters are cumulative, so two snapshots bracket the window), each
-/// with its served-requests-per-second rate.
-fn serve_section(before: Option<&Value>, after: Option<&Value>, elapsed: f64) -> Value {
-    let Some(after) = after else {
-        return Value::Null;
-    };
-    let counter_at = |snapshot: Option<&Value>, shard: &str, what: &str| -> u64 {
-        snapshot
-            .and_then(|s| s.get("shards"))
-            .and_then(|shards| shards.get(shard))
-            .and_then(|entry| entry.get(what))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
-    let mut shards = serde_json::Map::new();
-    if let Some(Value::Object(section)) = after.get("shards") {
-        for shard in section.keys() {
-            let delta = |what: &str| {
-                counter_at(Some(after), shard, what).saturating_sub(counter_at(before, shard, what))
-            };
-            let served = delta("served");
-            let rps = if elapsed > 0.0 {
-                served as f64 / elapsed
-            } else {
-                0.0
-            };
-            shards.insert(
-                shard.clone(),
-                serde_json::json!({
-                    "accepted": delta("accepted"),
-                    "served": served,
-                    "shed": delta("shed"),
-                    "rps": rps,
-                }),
-            );
-        }
-    }
-    serde_json::json!({
-        "core": after.get("core").cloned().unwrap_or(Value::Null),
-        "poller": after.get("poller").cloned().unwrap_or(Value::Null),
-        "shards": Value::Object(shards),
-    })
 }
 
 /// In-process floor of a cold evaluation: rebuild the catalog and broker,
@@ -842,7 +760,6 @@ fn main() -> ExitCode {
 
     let pool = hot_pool();
     let frontiers = frontier_pool();
-    let stats_before = if open_loop { query_stats(&addr) } else { None };
     let started = Instant::now();
     let workers: Vec<_> = if open_loop {
         let deadline = started + Duration::from_secs_f64(config.duration_secs);
@@ -917,8 +834,6 @@ fn main() -> ExitCode {
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let stats_after = if open_loop { query_stats(&addr) } else { None };
-    let serve = serve_section(stats_before.as_ref(), stats_after.as_ref(), elapsed);
 
     let ClientStats {
         latencies_ns: mut latencies,
@@ -986,13 +901,6 @@ fn main() -> ExitCode {
         "cache: {cached}/{ok} hits ({:.1}%), {coalesced} coalesced; {shed} shed, {errors} errors",
         hit_rate * 100.0
     );
-    if let Some(Value::Object(shards)) = serve.get("shards") {
-        for (index, entry) in shards {
-            let served = entry.get("served").and_then(Value::as_u64).unwrap_or(0);
-            let rps = entry.get("rps").and_then(Value::as_f64).unwrap_or(0.0);
-            println!("shard {index}: {served} served ({rps:.0} req/s)");
-        }
-    }
 
     // Per-endpoint latency percentiles: one entry per endpoint the mix
     // actually exercised (`recommend` always; `health` under
@@ -1059,53 +967,10 @@ fn main() -> ExitCode {
         }
     };
 
-    // The serving-speedup gate (PR 10): this run's throughput against a
-    // previous report's. The reactor CI job points --baseline at a fresh
-    // threads-core BENCH_PR4 run and demands --min-speedup 10.
-    let mut speedup_vs_baseline: Option<f64> = None;
-    let baseline_value = match &config.baseline {
-        None => Value::Null,
-        Some(path) => {
-            let baseline: Value = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {path}: {e}"))
-                .and_then(|text| {
-                    serde_json::from_str(&text).map_err(|e| format!("parse {path}: {e}"))
-                })
-                .unwrap_or_else(|message| {
-                    eprintln!("loadgen: --baseline: {message}");
-                    std::process::exit(2);
-                });
-            let baseline_rps = baseline
-                .get("throughput_rps")
-                .and_then(Value::as_f64)
-                .filter(|rps| *rps > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("loadgen: --baseline: {path} has no positive throughput_rps");
-                    std::process::exit(2);
-                });
-            let ratio = throughput_rps / baseline_rps;
-            speedup_vs_baseline = Some(ratio);
-            println!(
-                "speedup vs baseline {path}: {ratio:.1}x \
-                 ({baseline_rps:.0} -> {throughput_rps:.0} req/s)"
-            );
-            serde_json::json!({
-                "baseline": path,
-                "baseline_rps": baseline_rps,
-                "speedup": ratio,
-                "min_speedup": config.min_speedup,
-            })
-        }
-    };
-    let meets_speedup_target = match (speedup_vs_baseline, config.min_speedup) {
-        (Some(ratio), Some(floor)) => Value::Bool(ratio >= floor),
-        _ => Value::Null,
-    };
-
     // The frontier micro-bench only runs when the mix exercises the
     // frontier endpoint (or the gate is enforced) — BENCH_PR4/PR8 runs
-    // stay unchanged. Open-loop runs skip it: there --enforce gates the
-    // serving speedup, and the in-process sweep would just pad the window.
+    // stay unchanged. Open-loop runs skip it: the in-process sweep would
+    // just pad the window.
     let (frontier_section, frontier_speedup, frontier_matches) =
         if (config.frontier_ratio > 0.0 || config.enforce) && !open_loop {
             let (section, speedup, matches) = frontier_bench();
@@ -1121,8 +986,7 @@ fn main() -> ExitCode {
 
     // The report label follows the output file (BENCH_PR4.json stays the
     // PR 4 contract; the tracing CI job writes BENCH_PR8.json; the
-    // frontier CI job writes BENCH_PR9.json; the reactor CI job writes
-    // BENCH_PR10.json).
+    // frontier CI job writes BENCH_PR9.json).
     let benchmark = std::path::Path::new(&config.out)
         .file_stem()
         .and_then(|s| s.to_str())
@@ -1139,9 +1003,8 @@ fn main() -> ExitCode {
             "connections": config.connections as u64,
             "duration_secs": config.duration_secs,
             "pipeline_depth": config.pipeline as u64,
-            // Serving speedups are hardware-bound: shard parallelism and
-            // the off-loop compute pool need real cores, so the report
-            // records how many this run had.
+            // Serving throughput is hardware-bound, so the report records
+            // how many cores this run had.
             "cpus": std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(0),
             "repeat_ratio": config.repeat_ratio,
             "health_ratio": config.health_ratio,
@@ -1167,10 +1030,6 @@ fn main() -> ExitCode {
         "explain_stages": serde_json::Value::Object(stages),
         "frontier_bench": frontier_section,
         "compare": compare_value,
-        "serve": serve,
-        "baseline": baseline_value,
-        "speedup_vs_baseline": speedup_vs_baseline,
-        "meets_speedup_target": meets_speedup_target,
         "throughput_rps": throughput_rps,
         "cold_eval_rps": cold_rps,
         "cold_eval_mode": cold_mode,
@@ -1234,26 +1093,7 @@ fn main() -> ExitCode {
             if frontier_matches { "match" } else { "diverge" }
         );
     }
-    let failed_speedup = config.enforce
-        && config.min_speedup.is_some()
-        && !matches!(
-            (speedup_vs_baseline, config.min_speedup),
-            (Some(ratio), Some(floor)) if ratio >= floor
-        );
-    if failed_speedup {
-        eprintln!(
-            "loadgen: speedup vs baseline {:.1}x below required {:.1}x with --enforce",
-            speedup_vs_baseline.unwrap_or(0.0),
-            config.min_speedup.unwrap_or(0.0)
-        );
-    }
-    if failed_hit_rate
-        || failed_errors
-        || failed_p99
-        || failed_overhead
-        || failed_frontier
-        || failed_speedup
-    {
+    if failed_hit_rate || failed_errors || failed_p99 || failed_overhead || failed_frontier {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

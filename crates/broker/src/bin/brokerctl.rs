@@ -27,8 +27,7 @@
 //! brokerctl metacloud
 //!     Cross-provider (metacloud) recommendation over the hybrid catalog.
 //!
-//! brokerctl serve [--hybrid] [--addr HOST:PORT] [--core threads|reactor] [--shards N]
-//!                 [--workers N] [--queue N] [--chaos SEED]
+//! brokerctl serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
 //!                 [--state-dir DIR] [--fsync os|always|every:N] [--snapshot-every N]
 //!                 [--no-trace] [--trace-capacity N] [--trace-slow-ms MS]
 //!                 [--trace-sample N] [--stdin]
@@ -361,8 +360,7 @@ Commands:
   metacloud [--engine exhaustive|bnb]
       Cross-provider (metacloud) recommendation over the hybrid catalog.
       --engine bnb proves the same placement by branch-and-bound.
-  serve [--hybrid] [--addr HOST:PORT] [--core threads|reactor] [--shards N]
-        [--workers N] [--queue N] [--chaos SEED]
+  serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
         [--engine exhaustive|bnb] [--state-dir DIR] [--fsync os|always|every:N]
         [--snapshot-every N] [--no-trace] [--trace-capacity N]
         [--trace-slow-ms MS] [--trace-sample N] [--stdin]
@@ -377,10 +375,7 @@ Commands:
       per-stage timing breakdown. --no-trace disables tracing,
       --trace-capacity bounds retained traces (default 256),
       --trace-slow-ms sets the always-keep slow threshold (default 25),
-      --trace-sample keeps one in N ok-fast traces (default 1). --core
-      reactor runs the shared-nothing epoll event-loop core (--shards N
-      reactor shards; default one per CPU, capped at 8) instead of the
-      default thread-per-connection `threads` core. With
+      --trace-sample keeps one in N ok-fast traces (default 1). With
       --state-dir DIR the broker recovers pre-crash state at startup and
       write-ahead-journals every accepted telemetry batch (crash-only:
       kill -9 and restart resumes bit-identically). With --stdin: one
@@ -734,15 +729,6 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--queue" => {
                 config.queue_depth = iter.next().ok_or("--queue needs a depth")?.parse()?;
             }
-            "--core" => {
-                config.core = iter
-                    .next()
-                    .ok_or("--core needs a value (threads|reactor)")?
-                    .parse()?;
-            }
-            "--shards" => {
-                config.shards = iter.next().ok_or("--shards needs a shard count")?.parse()?;
-            }
             "--chaos" => {
                 chaos = Some(iter.next().ok_or("--chaos needs a seed")?.parse()?);
             }
@@ -778,15 +764,12 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         config.flight_recorder = Some(Arc::clone(&recorder));
         backend = backend.with_flight_recorder(recorder);
     }
-    let backend = Arc::new(backend.with_serve_core(config.core.as_str()));
     let workers = config.workers;
     let queue = config.queue_depth;
-    let core = config.core;
-    let handle = Server::start(backend, config, registry)?;
+    let handle = Server::start(Arc::new(backend), config, registry)?;
     println!(
-        "uptime-serve listening on {} ({} core, {} worker(s), queue {}, {})",
+        "uptime-serve listening on {} ({} worker(s), queue {}, {})",
         handle.local_addr(),
-        core.as_str(),
         workers,
         queue,
         if chaos.is_some() {

@@ -194,7 +194,6 @@ pub struct ServingBroker {
     service: Arc<BrokerService>,
     sync_targets: Vec<(CloudId, Vec<ComponentKind>)>,
     flight_recorder: Option<Arc<uptime_obs::FlightRecorder>>,
-    serve_core: Option<&'static str>,
 }
 
 impl ServingBroker {
@@ -206,7 +205,6 @@ impl ServingBroker {
             service,
             sync_targets: Vec::new(),
             flight_recorder: None,
-            serve_core: None,
         }
     }
 
@@ -225,14 +223,6 @@ impl ServingBroker {
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: Arc<uptime_obs::FlightRecorder>) -> Self {
         self.flight_recorder = Some(recorder);
-        self
-    }
-
-    /// Declares which serving core (`"threads"` or `"reactor"`) fronts
-    /// this backend, so `health` can report it alongside broker health.
-    #[must_use]
-    pub fn with_serve_core(mut self, core: &'static str) -> Self {
-        self.serve_core = Some(core);
         self
     }
 
@@ -276,17 +266,13 @@ impl ServingBroker {
                 "unwound": 0,
             }),
         };
-        let mut body = serde_json::json!({
+        serde_json::json!({
             "schema_version": HEALTH_SCHEMA_VERSION,
             "epoch": self.service.telemetry_epoch(),
             "health": self.service.health(),
             "incidents": self.service.incidents(),
             "trace": trace,
-        });
-        if let (Some(core), Value::Object(map)) = (self.serve_core, &mut body) {
-            map.insert("serve".to_owned(), serde_json::json!({ "core": core }));
-        }
-        body
+        })
     }
 
     fn sync_body(

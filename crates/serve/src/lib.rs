@@ -28,7 +28,6 @@ pub mod backend;
 pub mod cache;
 pub mod protocol;
 pub mod queue;
-#[cfg(unix)]
 pub mod reactor;
 pub mod schema;
 pub mod server;
@@ -38,5 +37,5 @@ pub use backend::{BackendError, ServeBackend};
 pub use cache::{EpochCache, Lookup};
 pub use protocol::{code, RequestFrame, ResponseFrame, Status, PROTOCOL_VERSION};
 pub use queue::{BoundedQueue, PushError};
-pub use server::{ServeCore, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};
 pub use singleflight::{Flight, FlightResult, Role, SingleFlight};

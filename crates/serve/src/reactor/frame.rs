@@ -1,10 +1,10 @@
 //! Incremental newline-frame scanning over a reused per-connection buffer.
 //!
-//! The legacy core gives every connection a `BufReader` and re-reads lines
-//! through `read_until`; here one [`FrameScanner`] per connection owns a
-//! single growable buffer that is appended to as bytes arrive and scanned
-//! incrementally — each byte is examined for `\n` exactly once, however
-//! the frames are split or batched across socket reads.
+//! One [`FrameScanner`] per connection owns a single growable buffer that
+//! is appended to as bytes arrive and scanned incrementally — each byte
+//! is examined for `\n` exactly once, however the frames are split or
+//! batched across socket reads. The daemon's connection readers and the
+//! load generator's answer reader share it.
 //!
 //! Growth is bounded: once more than `max_frame` bytes accumulate without
 //! a newline the scanner reports [`Scan::Oversized`] and the caller

@@ -1,1247 +1,14 @@
-//! The shared-nothing event-loop serving core (`--core reactor`).
+//! Socket building blocks shared by the daemon and the load generator.
 //!
-//! ```text
-//!  clients ──► acceptor ──► shard 0 ─┐   each shard owns: poller (epoll),
-//!              (round-robin  shard 1 ─┤   its connections' read/write
-//!               fd handoff)  shard N ─┘   buffers, an EpochCache, and a
-//!                               │         single-flight table — no locks
-//!                               │ cold misses only                on the hot path
-//!                               ▼
-//!                        blocking compute pool ──► completions posted back
-//!                        (BnB / frontier solves)    to the owning shard
-//! ```
+//! [`frame`] splits a byte stream into newline-delimited frames under a
+//! size cap; the daemon's connection readers use it, and so does any
+//! client that reads answers off the wire. [`poller`] is a readiness
+//! poller over raw syscalls (epoll on Linux, `poll(2)` elsewhere) for
+//! clients that watch many connections from one thread.
 //!
-//! Design rules, in order of importance:
-//!
-//! * **No cross-thread work on the hot path.** A cache hit is parsed,
-//!   looked up, rendered, and written entirely on the shard that owns the
-//!   connection. The only shared state it touches is the backend's atomic
-//!   telemetry epoch.
-//! * **Connections never migrate.** The acceptor hands each accepted fd to
-//!   one shard round-robin; every subsequent byte of that connection is
-//!   read, and every response written, by that shard alone.
-//! * **Reactors never block.** Cold misses (branch-and-bound solves,
-//!   frontier extractions) are dispatched to a small blocking compute
-//!   pool; the shard keeps serving other connections and answers when the
-//!   completion is posted back to its mailbox.
-//! * **Backpressure is per shard.** Each shard admits at most
-//!   `workers + queue_depth` outstanding computations; beyond that it
-//!   sheds with a `429` immediately — same discipline, same wire reply as
-//!   the threads core. Slow readers get write-interest registration and a
-//!   bounded output buffer instead of a blocked thread.
-//! * **Shutdown is a drain.** Every admitted computation is answered and
-//!   flushed before a shard exits; the compute pool closes only after all
-//!   shards have drained.
+//! The module keeps its name because the benchmark imports these paths;
+//! the daemon itself lives in [`crate::server`].
 
 pub mod frame;
+#[cfg(unix)]
 pub mod poller;
-
-use std::collections::HashMap;
-use std::io::{self, Read as IoRead, Write as IoWrite};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Instant;
-
-use serde_json::Value;
-use uptime_obs::{
-    trace_seed_from_bytes, trace_seed_from_fingerprint, ActiveTrace, FlightRecorder,
-    MetricsRegistry, Recorder, TraceOutcome, TraceSpan,
-};
-
-use crate::backend::{BackendError, ServeBackend};
-use crate::cache::{EpochCache, Lookup};
-use crate::protocol::{code, RequestFrame, ResponseFrame};
-use crate::queue::{BoundedQueue, PushError};
-use crate::server::{
-    cache_by_endpoint, explain_value, render_ok_line, sanitize_endpoint, shard_section,
-    trace_stats_value, traces_export, ServerConfig,
-};
-use frame::{FrameScanner, Scan};
-use poller::{Event, Interest, Poller};
-
-/// Token reserved for each shard's wake socket.
-const WAKE_TOKEN: u64 = 0;
-/// Bytes read per connection per readiness event before yielding to other
-/// connections (level-triggered polling re-reports the remainder).
-const READ_BURST: usize = 256 * 1024;
-/// A connection whose unflushed output exceeds this is a slow reader that
-/// stopped draining; it is dropped rather than allowed to buffer the
-/// daemon into the ground.
-const WRITE_BUF_CAP: usize = 16 * 1024 * 1024;
-
-/// One cold request handed to the compute pool.
-struct ComputeJob {
-    shard: usize,
-    token: u64,
-    frame_id: u64,
-    explain: bool,
-    endpoint: String,
-    body: Value,
-    fingerprint: Option<u128>,
-    trace: ActiveTrace,
-    received: Instant,
-}
-
-/// A finished computation posted back to the owning shard.
-struct Completion {
-    token: u64,
-    frame_id: u64,
-    explain: bool,
-    endpoint: String,
-    fingerprint: Option<u128>,
-    result: Result<(Arc<str>, u64), BackendError>,
-    trace: ActiveTrace,
-    received: Instant,
-}
-
-/// A coalesced follower parked on an in-flight computation.
-struct Waiter {
-    token: u64,
-    frame_id: u64,
-    explain: bool,
-    received: Instant,
-    trace: ActiveTrace,
-    /// Held open for the duration of the wait; dropped (completing the
-    /// span) just before the follower's trace finishes.
-    wait_span: Option<TraceSpan>,
-}
-
-#[derive(Default)]
-struct Inbox {
-    conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
-}
-
-/// The cross-thread doorway into a shard: new connections from the
-/// acceptor, completions from the compute pool, and a wake socket to kick
-/// the shard's poller. Never touched on the hot path.
-struct Mailbox {
-    inbox: Mutex<Inbox>,
-    wake_tx: TcpStream,
-    cache_len: AtomicUsize,
-}
-
-impl Mailbox {
-    fn wake(&self) {
-        // A full wake pipe means the shard already has a pending wakeup.
-        let _ = (&self.wake_tx).write(&[1u8]);
-    }
-}
-
-/// State shared by the acceptor, all shards, and the compute pool.
-struct Shared {
-    backend: Arc<dyn ServeBackend>,
-    registry: Arc<MetricsRegistry>,
-    tracer: Option<Arc<FlightRecorder>>,
-    compute: BoundedQueue<ComputeJob>,
-    shutdown: AtomicBool,
-    inflight: AtomicI64,
-    local_addr: SocketAddr,
-    max_frame_bytes: usize,
-    read_timeout_ms: u64,
-    /// Per-shard admission budget (outstanding computations).
-    budget: usize,
-    mailboxes: Vec<Mailbox>,
-    poller_kind: &'static str,
-}
-
-/// A running reactor daemon; constructed through `Server::start` with
-/// `core: ServeCore::Reactor`.
-pub struct ReactorHandle {
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    shards: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ReactorHandle {
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    pub(crate) fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.registry)
-    }
-
-    pub(crate) fn cache_len(&self) -> usize {
-        self.shared
-            .mailboxes
-            .iter()
-            .map(|m| m.cache_len.load(Ordering::Acquire))
-            .sum()
-    }
-
-    pub(crate) fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.shared.tracer.clone()
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        begin_shutdown(&self.shared);
-        self.join_threads();
-    }
-
-    pub(crate) fn join_threads(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for shard in self.shards.drain(..) {
-            let _ = shard.join();
-        }
-        // Shards only exit once every admitted computation has been
-        // answered, so the pool's queue is empty here and closing it just
-        // releases the idle workers.
-        self.shared.compute.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Begins (idempotently) the reactor drain: stop accepting, wake every
-/// shard so it notices, let outstanding computations finish.
-fn begin_shutdown(shared: &Arc<Shared>) {
-    if shared.shutdown.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    shared.registry.event("serve.lifecycle", "drain begun");
-    // Unblock the acceptor with a no-op connection to ourselves.
-    let _ = TcpStream::connect(shared.local_addr);
-    for mailbox in &shared.mailboxes {
-        mailbox.wake();
-    }
-}
-
-/// A loopback socket pair standing in for `pipe(2)` — both ends
-/// nonblocking, write one byte to wake, drain on the other side.
-fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    rx.set_nonblocking(true)?;
-    let _ = tx.set_nodelay(true);
-    Ok((tx, rx))
-}
-
-fn default_shards() -> usize {
-    thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .clamp(1, 8)
-}
-
-/// Binds and spawns the acceptor, `shards` reactor shards, and the
-/// compute pool. Mirrors `Server::start` for the threads core.
-pub(crate) fn start(
-    backend: Arc<dyn ServeBackend>,
-    config: &ServerConfig,
-    registry: Arc<MetricsRegistry>,
-    tracer: Option<Arc<FlightRecorder>>,
-) -> io::Result<ReactorHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    let local_addr = listener.local_addr()?;
-    let shard_count = if config.shards == 0 {
-        default_shards()
-    } else {
-        config.shards
-    };
-    let pool_workers = config.workers.max(1);
-    let budget = pool_workers + config.queue_depth.max(1);
-
-    let mut mailboxes = Vec::with_capacity(shard_count);
-    let mut wake_rxs = Vec::with_capacity(shard_count);
-    let mut pollers = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        let (tx, rx) = wake_pair()?;
-        mailboxes.push(Mailbox {
-            inbox: Mutex::new(Inbox::default()),
-            wake_tx: tx,
-            cache_len: AtomicUsize::new(0),
-        });
-        wake_rxs.push(rx);
-        pollers.push(Poller::new()?);
-    }
-    let poller_kind = pollers[0].kind();
-
-    let shared = Arc::new(Shared {
-        backend,
-        registry,
-        tracer,
-        compute: BoundedQueue::new((budget * shard_count).max(64)),
-        shutdown: AtomicBool::new(false),
-        inflight: AtomicI64::new(0),
-        local_addr,
-        max_frame_bytes: config.max_frame_bytes.max(1),
-        read_timeout_ms: config.read_timeout_ms,
-        budget,
-        mailboxes,
-        poller_kind,
-    });
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || accept_loop(&shared, &listener))
-    };
-    let shards = wake_rxs
-        .into_iter()
-        .zip(pollers)
-        .enumerate()
-        .map(|(index, (wake_rx, poller))| {
-            let shared = Arc::clone(&shared);
-            let cache_capacity = config.cache_capacity;
-            thread::spawn(move || {
-                Shard::new(index, shared, poller, wake_rx, cache_capacity).run();
-            })
-        })
-        .collect();
-    let workers = (0..pool_workers)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || compute_loop(&shared))
-        })
-        .collect();
-
-    Ok(ReactorHandle {
-        shared,
-        acceptor: Some(acceptor),
-        shards,
-        workers,
-    })
-}
-
-/// Blocking accept, round-robin fd handoff. This is the one cross-thread
-/// hop a connection ever takes, and it happens exactly once, off the
-/// request hot path.
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut next = 0usize;
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        shared.registry.counter_add("serve.connections", 1);
-        let shard = next % shared.mailboxes.len();
-        next = next.wrapping_add(1);
-        shared
-            .registry
-            .counter_add(&format!("serve.shard.{shard}.accepted"), 1);
-        let mailbox = &shared.mailboxes[shard];
-        mailbox.inbox.lock().expect("inbox lock").conns.push(stream);
-        mailbox.wake();
-    }
-}
-
-/// The blocking compute pool: executes backend handlers for cold misses
-/// and uncacheable endpoints so a branch-and-bound solve never stalls a
-/// reactor. Exits when the queue is closed and drained.
-fn compute_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.compute.pop() {
-        let epoch_before = shared.backend.epoch();
-        let result = {
-            let mut exec_span = job.trace.root().child("serve.execute");
-            if job.fingerprint.is_some() {
-                exec_span.attr_flag("leader", true);
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shared
-                    .backend
-                    .handle_traced(&job.endpoint, &job.body, &exec_span)
-            }));
-            match outcome {
-                Ok(Ok(value)) => {
-                    let _render_span = exec_span.child("serve.render");
-                    match serde_json::to_string(&value) {
-                        Ok(text) => Ok((Arc::from(text) as Arc<str>, epoch_before)),
-                        Err(err) => Err(BackendError::Internal(format!(
-                            "unserializable body: {err}"
-                        ))),
-                    }
-                }
-                Ok(Err(err)) => Err(err),
-                Err(_) => Err(BackendError::Internal("backend panicked".into())),
-            }
-        };
-        let mailbox = &shared.mailboxes[job.shard];
-        mailbox
-            .inbox
-            .lock()
-            .expect("inbox lock")
-            .completions
-            .push(Completion {
-                token: job.token,
-                frame_id: job.frame_id,
-                explain: job.explain,
-                endpoint: job.endpoint,
-                fingerprint: job.fingerprint,
-                result,
-                trace: job.trace,
-                received: job.received,
-            });
-        mailbox.wake();
-    }
-}
-
-/// One connection's state machine, owned end-to-end by its shard.
-struct Conn {
-    stream: TcpStream,
-    scanner: FrameScanner,
-    out: Vec<u8>,
-    out_pos: usize,
-    interest: Interest,
-    /// Responses still owed by in-flight computations or waits.
-    pending: usize,
-    last_activity: Instant,
-    /// Send what's buffered, then hang up (oversized frame teardown).
-    close_after_flush: bool,
-    /// EOF seen (or reading abandoned); close once nothing is owed.
-    read_closed: bool,
-    /// Unrecoverable I/O error; close immediately.
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, max_frame: usize) -> Self {
-        Conn {
-            stream,
-            scanner: FrameScanner::new(max_frame),
-            out: Vec::new(),
-            out_pos: 0,
-            interest: Interest::Read,
-            pending: 0,
-            last_activity: Instant::now(),
-            close_after_flush: false,
-            read_closed: false,
-            dead: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.out_pos == self.out.len()
-    }
-}
-
-/// One reactor shard: a poller, the connections it owns, a shard-local
-/// cache and single-flight table, and an admission budget.
-struct Shard {
-    index: usize,
-    shared: Arc<Shared>,
-    poller: Poller,
-    wake_rx: TcpStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    cache: EpochCache,
-    flights: HashMap<u128, Vec<Waiter>>,
-    outstanding: usize,
-    draining: bool,
-}
-
-impl Shard {
-    fn new(
-        index: usize,
-        shared: Arc<Shared>,
-        mut poller: Poller,
-        wake_rx: TcpStream,
-        cache_capacity: usize,
-    ) -> Self {
-        poller
-            .register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)
-            .expect("wake socket registers");
-        Shard {
-            index,
-            shared,
-            poller,
-            wake_rx,
-            conns: HashMap::new(),
-            next_token: 1,
-            cache: EpochCache::new(cache_capacity),
-            flights: HashMap::new(),
-            outstanding: 0,
-            draining: false,
-        }
-    }
-
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            let timeout = self.poll_timeout();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                // A failing poller would otherwise spin; back off briefly.
-                thread::sleep(std::time::Duration::from_millis(20));
-            }
-            let mut woken = false;
-            let conn_events: Vec<Event> = events
-                .iter()
-                .copied()
-                .filter(|event| {
-                    if event.token == WAKE_TOKEN {
-                        woken = true;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect();
-            if woken {
-                self.drain_wake();
-            }
-            self.process_inbox();
-            for event in conn_events {
-                self.on_conn_event(event);
-            }
-            if !self.draining && self.shared.shutdown.load(Ordering::Acquire) {
-                self.draining = true;
-            }
-            self.sweep_idle();
-            if self.draining && self.outstanding == 0 && self.all_flushed() {
-                break;
-            }
-        }
-        // Drain finished: every owed response is flushed; hang up.
-        for (_, conn) in self.conns.drain() {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
-    }
-
-    fn poll_timeout(&self) -> Option<i32> {
-        if self.draining {
-            return Some(50);
-        }
-        if self.shared.read_timeout_ms > 0 && !self.conns.is_empty() {
-            let quarter = (self.shared.read_timeout_ms / 4).clamp(10, 1000);
-            return Some(quarter as i32);
-        }
-        // Nothing to time out: sleep until the poller or mailbox wakes us.
-        Some(1000)
-    }
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn process_inbox(&mut self) {
-        let (conns, completions) = {
-            let mut inbox = self.shared.mailboxes[self.index]
-                .inbox
-                .lock()
-                .expect("inbox lock");
-            (
-                std::mem::take(&mut inbox.conns),
-                std::mem::take(&mut inbox.completions),
-            )
-        };
-        for stream in conns {
-            if self.draining {
-                continue; // dropped: the daemon is going away
-            }
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
-                .poller
-                .register(stream.as_raw_fd(), token, Interest::Read)
-                .is_err()
-            {
-                continue;
-            }
-            self.conns
-                .insert(token, Conn::new(stream, self.shared.max_frame_bytes));
-        }
-        for completion in completions {
-            self.on_completion(completion);
-        }
-    }
-
-    fn on_conn_event(&mut self, event: Event) {
-        if !self.conns.contains_key(&event.token) {
-            return;
-        }
-        if event.writable {
-            self.flush(event.token);
-        }
-        if event.readable {
-            self.on_readable(event.token);
-        }
-        if event.hangup {
-            if let Some(conn) = self.conns.get_mut(&event.token) {
-                conn.read_closed = true;
-            }
-        }
-        self.maybe_close(event.token);
-    }
-
-    /// Reads until the socket would block (bounded per event so one
-    /// fire-hosing client cannot starve its shard-mates), scanning frames
-    /// incrementally and dispatching each.
-    fn on_readable(&mut self, token: u64) {
-        let mut lines: Vec<String> = Vec::new();
-        let mut oversized = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.last_activity = Instant::now();
-            let mut chunk = [0u8; 16 * 1024];
-            let mut read_total = 0usize;
-            'reading: while read_total < READ_BURST {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        read_total += n;
-                        conn.scanner.extend(&chunk[..n]);
-                        loop {
-                            match conn.scanner.next_frame() {
-                                Scan::Frame(range) => {
-                                    let bytes = &conn.scanner.bytes()[range];
-                                    lines.push(String::from_utf8_lossy(bytes).into_owned());
-                                }
-                                Scan::Incomplete => break,
-                                Scan::Oversized => {
-                                    oversized = true;
-                                    conn.read_closed = true;
-                                    break 'reading;
-                                }
-                            }
-                        }
-                    }
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        for line in lines {
-            if !self.conns.contains_key(&token) {
-                return; // torn down mid-burst (e.g. write overflow)
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            self.handle_frame(token, &line);
-        }
-        if oversized {
-            self.shared.registry.counter_add("serve.conn.oversized", 1);
-            let response = ResponseFrame::error(
-                0,
-                self.shared.backend.epoch(),
-                code::BAD_REQUEST,
-                format!(
-                    "frame exceeds {} byte cap; connection closed",
-                    self.shared.max_frame_bytes
-                ),
-            );
-            self.send_frame(token, &response);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.close_after_flush = true;
-            }
-        }
-    }
-
-    /// Routes one parsed frame — the reactor's `dispatch`: admin endpoints
-    /// answered inline on the shard, business endpoints through admission
-    /// control into cache/flight/compute.
-    fn handle_frame(&mut self, token: u64, line: &str) {
-        let received = Instant::now();
-        let frame = match serde_json::from_str::<RequestFrame>(line) {
-            Ok(frame) => frame,
-            Err(err) => {
-                self.shared.registry.counter_add("serve.parse_error", 1);
-                let response = ResponseFrame::error(
-                    0,
-                    self.shared.backend.epoch(),
-                    code::BAD_REQUEST,
-                    format!("bad frame: {err}"),
-                );
-                self.send_frame(token, &response);
-                return;
-            }
-        };
-        match frame.endpoint.as_str() {
-            "ping" => {
-                // `shard` makes the no-migration guarantee observable —
-                // every ping on one connection reports the same shard.
-                let body = serde_json::json!({ "pong": true, "shard": self.index as u64 });
-                let response = ResponseFrame::ok(frame.id, self.shared.backend.epoch(), body);
-                self.send_frame(token, &response);
-            }
-            "stats" => {
-                let body = self.stats_body();
-                let response = ResponseFrame::ok(frame.id, self.shared.backend.epoch(), body);
-                self.send_frame(token, &response);
-            }
-            "traces" => {
-                let response = match traces_export(self.shared.tracer.as_deref(), &frame.body) {
-                    Ok(body) => ResponseFrame::ok(frame.id, self.shared.backend.epoch(), body),
-                    Err(detail) => ResponseFrame::error(
-                        frame.id,
-                        self.shared.backend.epoch(),
-                        code::BAD_REQUEST,
-                        detail,
-                    ),
-                };
-                self.send_frame(token, &response);
-            }
-            "shutdown" => {
-                let response = ResponseFrame::ok(
-                    frame.id,
-                    self.shared.backend.epoch(),
-                    serde_json::json!({ "draining": true }),
-                );
-                self.send_frame(token, &response);
-                let shared = Arc::clone(&self.shared);
-                thread::spawn(move || begin_shutdown(&shared));
-            }
-            _ => self.handle_business(token, frame, received),
-        }
-    }
-
-    fn handle_business(&mut self, token: u64, frame: RequestFrame, received: Instant) {
-        let shared = Arc::clone(&self.shared);
-        let registry = &shared.registry;
-        if self.draining || shared.shutdown.load(Ordering::Acquire) {
-            registry.counter_add("serve.drain.refused", 1);
-            let response = ResponseFrame::error(
-                frame.id,
-                shared.backend.epoch(),
-                code::DRAINING,
-                "daemon is draining",
-            );
-            self.send_frame(token, &response);
-            return;
-        }
-        // Admission first, exactly like the threads core's bounded queue:
-        // at budget the request is shed before any work is done for it.
-        if self.outstanding >= shared.budget {
-            self.shed(token, &frame);
-            return;
-        }
-
-        let endpoint = frame.endpoint.as_str();
-        let fingerprinted = shared.backend.fingerprint(endpoint, &frame.body);
-        let trace = match &shared.tracer {
-            Some(tracer) => {
-                let seed = match &fingerprinted {
-                    Ok(Some(fingerprint)) => trace_seed_from_fingerprint(*fingerprint),
-                    _ => trace_seed_from_bytes(endpoint.as_bytes()),
-                };
-                let trace = tracer.begin(seed, &sanitize_endpoint(endpoint));
-                trace
-                    .root()
-                    .child_completed_ns("serve.queue.wait", received.elapsed().as_nanos() as u64);
-                trace
-            }
-            None => ActiveTrace::disabled(),
-        };
-
-        match fingerprinted {
-            Err(err) => {
-                let result: Result<(Arc<str>, u64), BackendError> = Err(err);
-                self.answer(AnswerCtx {
-                    token,
-                    frame_id: frame.id,
-                    explain: frame.explain,
-                    endpoint,
-                    received,
-                    trace,
-                    result: &result,
-                    coalesced: false,
-                    live_epoch: true,
-                    pending_booked: false,
-                });
-            }
-            // Uncacheable endpoint (e.g. `sync`): straight to the pool.
-            Ok(None) => self.dispatch(token, frame, received, trace, None),
-            Ok(Some(fingerprint)) => {
-                let cache_label = sanitize_endpoint(endpoint);
-                let epoch_now = shared.backend.epoch();
-                let lookup = {
-                    let mut cache_span = trace.root().child("serve.cache.lookup");
-                    let lookup = self.cache.lookup(fingerprint, epoch_now);
-                    cache_span.attr_text(
-                        "verdict",
-                        match &lookup {
-                            Lookup::Hit(_) => "hit",
-                            Lookup::Stale => "stale",
-                            _ => "miss",
-                        },
-                    );
-                    lookup
-                };
-                match lookup {
-                    Lookup::Hit(body) => {
-                        registry.counter_add("serve.cache.hit", 1);
-                        registry.counter_add(&format!("serve.cache.{cache_label}.hit"), 1);
-                        let record = trace.finish(TraceOutcome::Ok);
-                        let explain_text = if frame.explain {
-                            record
-                                .as_ref()
-                                .and_then(|r| serde_json::to_string(&explain_value(r)).ok())
-                        } else {
-                            None
-                        };
-                        registry.counter_add("serve.responses", 1);
-                        registry.counter_add(&format!("serve.shard.{}.served", self.index), 1);
-                        let line = render_ok_line(
-                            frame.id,
-                            epoch_now,
-                            true,
-                            false,
-                            &body,
-                            explain_text.as_deref(),
-                        );
-                        self.write_bytes(token, line.as_bytes());
-                        registry.observe(
-                            &format!("serve.{cache_label}.ns"),
-                            received.elapsed().as_nanos() as f64,
-                        );
-                    }
-                    probe => {
-                        let verdict = match probe {
-                            Lookup::Stale => "stale",
-                            _ => "miss",
-                        };
-                        registry.counter_add(&format!("serve.cache.{verdict}"), 1);
-                        registry.counter_add(&format!("serve.cache.{cache_label}.{verdict}"), 1);
-                        self.publish_cache_len();
-                        if let Some(waiters) = self.flights.get_mut(&fingerprint) {
-                            // Shard-local single flight: park on the
-                            // in-progress computation, no second execute.
-                            registry.counter_add("serve.coalesced", 1);
-                            let wait_span = Some(trace.root().child("serve.flight.wait"));
-                            waiters.push(Waiter {
-                                token,
-                                frame_id: frame.id,
-                                explain: frame.explain,
-                                received,
-                                trace,
-                                wait_span,
-                            });
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.pending += 1;
-                            }
-                        } else {
-                            self.flights.insert(fingerprint, Vec::new());
-                            self.dispatch(token, frame, received, trace, Some(fingerprint));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn shed(&mut self, token: u64, frame: &RequestFrame) {
-        let shared = &self.shared;
-        shared.registry.counter_add("serve.shed", 1);
-        shared
-            .registry
-            .counter_add(&format!("serve.shard.{}.shed", self.index), 1);
-        // Sheds are always tail-sampling keepers: record a one-span trace
-        // so overload shows up in the ring.
-        if let Some(tracer) = &shared.tracer {
-            let endpoint = sanitize_endpoint(&frame.endpoint);
-            let trace = tracer.begin(trace_seed_from_bytes(endpoint.as_bytes()), &endpoint);
-            trace.finish(TraceOutcome::Shed);
-        }
-        let response =
-            ResponseFrame::shed(frame.id, shared.backend.epoch(), "queue full; retry later");
-        self.send_frame(token, &response);
-    }
-
-    /// Hands a cold request to the compute pool and books the budget.
-    fn dispatch(
-        &mut self,
-        token: u64,
-        frame: RequestFrame,
-        received: Instant,
-        trace: ActiveTrace,
-        fingerprint: Option<u128>,
-    ) {
-        let shared = Arc::clone(&self.shared);
-        let job = ComputeJob {
-            shard: self.index,
-            token,
-            frame_id: frame.id,
-            explain: frame.explain,
-            endpoint: frame.endpoint,
-            body: frame.body,
-            fingerprint,
-            trace,
-            received,
-        };
-        match shared.compute.try_push(job) {
-            Ok(()) => {
-                self.outstanding += 1;
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.pending += 1;
-                }
-                let inflight = shared.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-                shared.registry.gauge_set("serve.inflight", inflight as f64);
-                shared
-                    .registry
-                    .observe("serve.queue.depth", shared.compute.len() as f64);
-            }
-            Err(PushError::Full(job)) => {
-                // Only reachable if budgets are misconfigured below the
-                // queue capacity; shed rather than hang.
-                if let Some(fp) = job.fingerprint {
-                    self.flights.remove(&fp);
-                }
-                job.trace.finish(TraceOutcome::Shed);
-                shared.registry.counter_add("serve.shed", 1);
-                shared
-                    .registry
-                    .counter_add(&format!("serve.shard.{}.shed", self.index), 1);
-                let response = ResponseFrame::shed(
-                    job.frame_id,
-                    shared.backend.epoch(),
-                    "queue full; retry later",
-                );
-                self.send_frame(token, &response);
-            }
-            Err(PushError::Closed(job)) => {
-                if let Some(fp) = job.fingerprint {
-                    self.flights.remove(&fp);
-                }
-                job.trace.finish(TraceOutcome::Error(code::DRAINING));
-                shared.registry.counter_add("serve.drain.refused", 1);
-                let response = ResponseFrame::error(
-                    job.frame_id,
-                    shared.backend.epoch(),
-                    code::DRAINING,
-                    "daemon is draining",
-                );
-                self.send_frame(token, &response);
-            }
-        }
-    }
-
-    /// A computation came back: cache it (unless an absorb raced it),
-    /// answer the leader and every coalesced waiter.
-    fn on_completion(&mut self, completion: Completion) {
-        self.outstanding = self.outstanding.saturating_sub(1);
-        let inflight = self.shared.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
-        self.shared
-            .registry
-            .gauge_set("serve.inflight", inflight as f64);
-        if let Some(fingerprint) = completion.fingerprint {
-            if let Ok((body, computed_under)) = &completion.result {
-                // Cache only if no absorb raced the run; the entry's epoch
-                // is the one the answer was computed under, so a racing
-                // bump still invalidates on the next lookup.
-                if self.shared.backend.epoch() == *computed_under {
-                    self.cache
-                        .insert(fingerprint, *computed_under, Arc::clone(body));
-                    self.publish_cache_len();
-                }
-            }
-        }
-        let waiters = completion
-            .fingerprint
-            .and_then(|fp| self.flights.remove(&fp))
-            .unwrap_or_default();
-        // Uncacheable endpoints (e.g. `sync`) may have moved the epoch
-        // themselves, so their reply reports the live epoch; cacheable
-        // answers report the epoch they were computed under.
-        let live_epoch = completion.fingerprint.is_none();
-        self.answer(AnswerCtx {
-            token: completion.token,
-            frame_id: completion.frame_id,
-            explain: completion.explain,
-            endpoint: &completion.endpoint,
-            received: completion.received,
-            trace: completion.trace,
-            result: &completion.result,
-            coalesced: false,
-            live_epoch,
-            pending_booked: true,
-        });
-        for waiter in waiters {
-            drop(waiter.wait_span);
-            self.answer(AnswerCtx {
-                token: waiter.token,
-                frame_id: waiter.frame_id,
-                explain: waiter.explain,
-                endpoint: &completion.endpoint,
-                received: waiter.received,
-                trace: waiter.trace,
-                result: &completion.result,
-                coalesced: true,
-                live_epoch: false,
-                pending_booked: true,
-            });
-        }
-    }
-
-    /// Finishes one request's trace, renders its reply, and writes it.
-    fn answer(&mut self, ctx: AnswerCtx<'_>) {
-        let shared = Arc::clone(&self.shared);
-        let registry = &shared.registry;
-        let mut known_endpoint = true;
-        // Count before writing so a client that has its response in hand
-        // is guaranteed to see it reflected in the counters.
-        registry.counter_add("serve.responses", 1);
-        registry.counter_add(&format!("serve.shard.{}.served", self.index), 1);
-        match ctx.result {
-            Ok((body, computed_under)) => {
-                let epoch = if ctx.live_epoch {
-                    shared.backend.epoch()
-                } else {
-                    *computed_under
-                };
-                let record = ctx.trace.finish(TraceOutcome::Ok);
-                let explain_text = if ctx.explain {
-                    record
-                        .as_ref()
-                        .and_then(|r| serde_json::to_string(&explain_value(r)).ok())
-                } else {
-                    None
-                };
-                let line = render_ok_line(
-                    ctx.frame_id,
-                    epoch,
-                    false,
-                    ctx.coalesced,
-                    body,
-                    explain_text.as_deref(),
-                );
-                self.write_bytes(ctx.token, line.as_bytes());
-            }
-            Err(err) => {
-                known_endpoint = !matches!(err, BackendError::UnknownEndpoint(_));
-                let record = ctx.trace.finish(TraceOutcome::Error(err.code()));
-                let mut response = ResponseFrame::error(
-                    ctx.frame_id,
-                    shared.backend.epoch(),
-                    err.code(),
-                    err.message(),
-                );
-                if ctx.explain {
-                    response.explain = record.as_ref().map(|r| explain_value(r));
-                }
-                self.send_frame(ctx.token, &response);
-            }
-        }
-        let label = if known_endpoint {
-            sanitize_endpoint(ctx.endpoint)
-        } else {
-            "unknown".to_owned()
-        };
-        registry.observe(
-            &format!("serve.{label}.ns"),
-            ctx.received.elapsed().as_nanos() as f64,
-        );
-        if ctx.pending_booked {
-            if let Some(conn) = self.conns.get_mut(&ctx.token) {
-                conn.pending = conn.pending.saturating_sub(1);
-            }
-        }
-        self.maybe_close(ctx.token);
-    }
-
-    fn publish_cache_len(&self) {
-        self.shared.mailboxes[self.index]
-            .cache_len
-            .store(self.cache.len(), Ordering::Release);
-    }
-
-    /// The `stats` body — same shape as the threads core, plus the core
-    /// tag and the per-shard counter section.
-    fn stats_body(&self) -> Value {
-        let shared = &self.shared;
-        let snap = shared.registry.snapshot();
-        let counter = |name: &str| snap.counter(name).unwrap_or(0);
-        let cache_size: usize = shared
-            .mailboxes
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                if i == self.index {
-                    self.cache.len()
-                } else {
-                    m.cache_len.load(Ordering::Acquire)
-                }
-            })
-            .sum();
-        serde_json::json!({
-            "epoch": shared.backend.epoch(),
-            "cache": {
-                "hit": counter("serve.cache.hit"),
-                "miss": counter("serve.cache.miss"),
-                "stale": counter("serve.cache.stale"),
-                "size": cache_size as u64,
-            },
-            "cache_by_endpoint": cache_by_endpoint(&snap),
-            "coalesced": counter("serve.coalesced"),
-            "shed": counter("serve.shed"),
-            "responses": counter("serve.responses"),
-            "connections": counter("serve.connections"),
-            "conn": {
-                "oversized": counter("serve.conn.oversized"),
-                "idle_dropped": counter("serve.conn.idle_dropped"),
-            },
-            "queue_depth": shared.compute.len() as u64,
-            "inflight": shared.inflight.load(Ordering::Acquire),
-            "core": "reactor",
-            "poller": shared.poller_kind,
-            "shards": shard_section(&snap),
-            "trace": trace_stats_value(shared.tracer.as_deref()),
-        })
-    }
-
-    // -- write path ---------------------------------------------------------
-
-    fn send_frame(&mut self, token: u64, frame: &ResponseFrame) {
-        let Ok(mut text) = serde_json::to_string(frame) else {
-            return;
-        };
-        text.push('\n');
-        self.write_bytes(token, text.as_bytes());
-    }
-
-    /// Appends to the connection's output buffer and flushes as much as
-    /// the socket will take; leftovers arm write interest.
-    fn write_bytes(&mut self, token: u64, bytes: &[u8]) {
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return; // connection already torn down; drop the reply
-            };
-            conn.out.extend_from_slice(bytes);
-        }
-        self.flush(token);
-    }
-
-    fn flush(&mut self, token: u64) {
-        let (fd, had, want) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            while conn.out_pos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => conn.out_pos += n,
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // The client went away; deliberately ignored, as
-                        // in the threads core.
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-            if conn.flushed() {
-                conn.out.clear();
-                conn.out_pos = 0;
-                if conn.out.capacity() > 256 * 1024 {
-                    conn.out.shrink_to(64 * 1024);
-                }
-            } else if conn.out_pos > 1024 * 1024 {
-                conn.out.drain(..conn.out_pos);
-                conn.out_pos = 0;
-            }
-            if conn.out.len() - conn.out_pos > WRITE_BUF_CAP {
-                conn.dead = true; // slow reader that stopped draining
-            }
-            (
-                conn.stream.as_raw_fd(),
-                conn.interest,
-                if conn.flushed() {
-                    Interest::Read
-                } else {
-                    Interest::ReadWrite
-                },
-            )
-        };
-        if want != had && self.poller.modify(fd, token, want).is_ok() {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.interest = want;
-            }
-        }
-    }
-
-    fn maybe_close(&mut self, token: u64) {
-        let close = {
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            conn.dead
-                || (conn.close_after_flush && conn.flushed())
-                || (conn.read_closed && conn.pending == 0 && conn.flushed())
-        };
-        if close {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
-        }
-    }
-
-    fn all_flushed(&self) -> bool {
-        self.conns.values().all(Conn::flushed)
-    }
-
-    /// Drops connections that have been silent past the idle read timeout
-    /// (nothing owed to them) — the reactor's slowloris defense.
-    fn sweep_idle(&mut self) {
-        if self.shared.read_timeout_ms == 0 || self.conns.is_empty() {
-            return;
-        }
-        let timeout = std::time::Duration::from_millis(self.shared.read_timeout_ms);
-        let idle: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, conn)| {
-                conn.pending == 0 && conn.flushed() && conn.last_activity.elapsed() >= timeout
-            })
-            .map(|(token, _)| *token)
-            .collect();
-        for token in idle {
-            self.shared
-                .registry
-                .counter_add("serve.conn.idle_dropped", 1);
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
-        }
-    }
-}
-
-/// Everything [`Shard::answer`] needs to finish one request.
-struct AnswerCtx<'a> {
-    token: u64,
-    frame_id: u64,
-    explain: bool,
-    endpoint: &'a str,
-    received: Instant,
-    trace: ActiveTrace,
-    result: &'a Result<(Arc<str>, u64), BackendError>,
-    coalesced: bool,
-    /// Report `backend.epoch()` at reply time instead of the epoch the
-    /// answer was computed under (uncacheable endpoints move it).
-    live_epoch: bool,
-    /// Whether this request booked a pending response on its connection
-    /// (dispatched or coalesced requests do; inline error replies don't).
-    pending_booked: bool,
-}

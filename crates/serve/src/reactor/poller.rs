@@ -1,12 +1,11 @@
 //! Readiness polling over raw syscalls — no `libc` crate, keeping the
 //! workspace zero-dependency.
 //!
-//! Linux gets `epoll` (O(ready) wakeups, the production path); everything
-//! else — and Linux with `UPTIME_SERVE_POLLER=poll` set, so the fallback
-//! has test coverage on the platform we develop on — gets a portable
+//! Linux gets `epoll` (O(ready) wakeups); everything else gets a portable
 //! `poll(2)` set rebuilt per wait. Both present the same tiny interface:
 //! register a file descriptor with a token and an interest, wait, get
-//! `(token, readable, writable, hangup)` events back.
+//! `(token, readable, writable, hangup)` events back. Each backend has a
+//! direct unit test, so the fallback is covered on Linux too.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -41,28 +40,14 @@ pub enum Poller {
 }
 
 impl Poller {
-    /// Picks the best backend for the platform; the `UPTIME_SERVE_POLLER=poll`
-    /// environment variable forces the portable fallback.
+    /// Picks the best backend for the platform: epoll on Linux, the
+    /// portable `poll(2)` fallback elsewhere.
     pub fn new() -> io::Result<Self> {
-        let forced = std::env::var_os("UPTIME_SERVE_POLLER").is_some_and(|v| v == "poll");
         #[cfg(target_os = "linux")]
-        {
-            if !forced {
-                return Ok(Poller::Epoll(Epoll::new()?));
-            }
-        }
-        let _ = forced;
-        Ok(Poller::Portable(PortablePoll::new()))
-    }
-
-    /// A short name for logs and stats.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Portable(_) => "poll",
-        }
+        let poller = Poller::Epoll(Epoll::new()?);
+        #[cfg(not(target_os = "linux"))]
+        let poller = Poller::Portable(PortablePoll::new());
+        Ok(poller)
     }
 
     /// Starts watching `fd`, reporting events under `token`.
@@ -130,7 +115,7 @@ impl Poller {
 
 #[cfg(target_os = "linux")]
 mod ffi {
-    //! The four syscalls the reactor needs, declared directly — the
+    //! The four syscalls the poller needs, declared directly — the
     //! kernel ABI is stable and this avoids vendoring a libc crate.
 
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
@@ -161,7 +146,7 @@ mod ffi {
     }
 }
 
-/// The epoll backend: one epoll instance per reactor shard.
+/// The epoll backend: one epoll instance per poller.
 #[cfg(target_os = "linux")]
 pub struct Epoll {
     epfd: RawFd,
@@ -278,6 +263,8 @@ pub struct PortablePoll {
 }
 
 impl PortablePoll {
+    // Linux picks epoll, so there only the unit test builds this backend.
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
     fn new() -> Self {
         PortablePoll {
             entries: Vec::new(),

@@ -2,6 +2,9 @@
 //! queue, and a worker pool that answers through the cache and
 //! single-flight layers.
 //!
+//! Each reader splits its socket's bytes into frames with a
+//! [`FrameScanner`], which caps how much one connection may buffer.
+//!
 //! ```text
 //!  clients ──► acceptor ──► reader threads ──► BoundedQueue ──► workers
 //!                              │    (shed when full: 429)        │
@@ -17,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as FmtWrite;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -34,44 +37,11 @@ use crate::backend::{BackendError, ServeBackend};
 use crate::cache::{EpochCache, Lookup};
 use crate::protocol::{code, RequestFrame, ResponseFrame};
 use crate::queue::{BoundedQueue, PushError};
+use crate::reactor::frame::{FrameScanner, Scan};
 use crate::singleflight::{Role, SingleFlight};
 
-/// Which serving core answers the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeCore {
-    /// Thread-per-connection readers feeding a bounded worker queue
-    /// (the original core; the default).
-    #[default]
-    Threads,
-    /// Shared-nothing event-loop shards over `epoll`/`poll` — see
-    /// [`crate::reactor`]. Unix only.
-    Reactor,
-}
-
-impl ServeCore {
-    /// The `stats`/`health` label for this core.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServeCore::Threads => "threads",
-            ServeCore::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for ServeCore {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(ServeCore::Threads),
-            "reactor" => Ok(ServeCore::Reactor),
-            other => Err(format!(
-                "unknown serve core `{other}` (expected `threads` or `reactor`)"
-            )),
-        }
-    }
-}
+/// Bytes a connection reader asks the socket for per read.
+const READ_CHUNK: usize = 8 * 1024;
 
 /// Tunables for one daemon instance.
 #[derive(Debug, Clone)]
@@ -103,11 +73,6 @@ pub struct ServerConfig {
     /// same ring. `None` with `trace.enabled` makes the daemon build its
     /// own private recorder.
     pub flight_recorder: Option<Arc<FlightRecorder>>,
-    /// Which serving core to run; see [`ServeCore`].
-    pub core: ServeCore,
-    /// Reactor shard count (`0` = one per available core, capped at 8).
-    /// Ignored by the threads core.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -121,8 +86,6 @@ impl Default for ServerConfig {
             max_frame_bytes: 1024 * 1024,
             trace: TraceConfig::default(),
             flight_recorder: None,
-            core: ServeCore::Threads,
-            shards: 0,
         }
     }
 }
@@ -155,30 +118,20 @@ struct Shared {
 /// The serving daemon. Construct with [`Server::start`].
 pub struct Server;
 
-/// A running daemon: join it, inspect it, or shut it down. The same
-/// handle fronts whichever core [`ServerConfig::core`] selected.
+/// A running daemon: join it, inspect it, or shut it down.
 pub struct ServerHandle {
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Threads {
-        shared: Arc<Shared>,
-        acceptor: Option<JoinHandle<()>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(unix)]
-    Reactor(crate::reactor::ReactorHandle),
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the selected core's threads, and returns a handle.
-    /// All metrics flow through `registry` under `serve.*` names.
+    /// Binds, spawns the acceptor and worker threads, and returns a
+    /// handle. All metrics flow through `registry` under `serve.*` names.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure; `ServeCore::Reactor` on a non-Unix
-    /// platform reports [`std::io::ErrorKind::Unsupported`].
+    /// Propagates the bind failure.
     pub fn start(
         backend: Arc<dyn ServeBackend>,
         config: ServerConfig,
@@ -194,29 +147,6 @@ impl Server {
         } else {
             None
         };
-        match config.core {
-            ServeCore::Threads => Self::start_threads(backend, config, registry, tracer),
-            #[cfg(unix)]
-            ServeCore::Reactor => {
-                let handle = crate::reactor::start(backend, &config, registry, tracer)?;
-                Ok(ServerHandle {
-                    inner: HandleInner::Reactor(handle),
-                })
-            }
-            #[cfg(not(unix))]
-            ServeCore::Reactor => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the reactor core requires a Unix platform; use --core threads",
-            )),
-        }
-    }
-
-    fn start_threads(
-        backend: Arc<dyn ServeBackend>,
-        config: ServerConfig,
-        registry: Arc<MetricsRegistry>,
-        tracer: Option<Arc<FlightRecorder>>,
-    ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -248,11 +178,9 @@ impl Server {
             .collect();
 
         Ok(ServerHandle {
-            inner: HandleInner::Threads {
-                shared,
-                acceptor: Some(acceptor),
-                workers,
-            },
+            shared,
+            acceptor: Some(acceptor),
+            workers,
         })
     }
 }
@@ -261,55 +189,32 @@ impl ServerHandle {
     /// The bound address (useful with an ephemeral port request).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => shared.local_addr,
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.local_addr(),
-        }
+        self.shared.local_addr
     }
 
     /// The metrics registry the daemon records into.
     #[must_use]
     pub fn registry(&self) -> Arc<MetricsRegistry> {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => Arc::clone(&shared.registry),
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.registry(),
-        }
+        Arc::clone(&self.shared.registry)
     }
 
-    /// Live cached-entry count (for tests and stats). For the reactor
-    /// core this sums the shard-local caches.
+    /// Live cached-entry count (for tests and stats).
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => shared.cache.len(),
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.cache_len(),
-        }
+        self.shared.cache.len()
     }
 
     /// The flight recorder request traces land in, when tracing is on.
     #[must_use]
     pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => shared.tracer.clone(),
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.flight_recorder(),
-        }
+        self.shared.tracer.clone()
     }
 
     /// Triggers the drain and blocks until every admitted request has
     /// been answered and all daemon threads have exited. Idempotent.
     pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            HandleInner::Threads { shared, .. } => {
-                begin_shutdown(shared);
-                self.join_threads();
-            }
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.shutdown(),
-        }
+        begin_shutdown(&self.shared);
+        self.join_threads();
     }
 
     /// Blocks until the daemon shuts down (via a `shutdown` admin frame
@@ -319,24 +224,14 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        match &mut self.inner {
-            HandleInner::Threads {
-                shared,
-                acceptor,
-                workers,
-            } => {
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-                // Every response is written; release the write halves.
-                shared.conns.lock().expect("conns lock").clear();
-            }
-            #[cfg(unix)]
-            HandleInner::Reactor(handle) => handle.join_threads(),
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+        // Every response is written; release the write halves.
+        self.shared.conns.lock().expect("conns lock").clear();
     }
 }
 
@@ -395,111 +290,73 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// One bounded line read: what came off the wire and why reading stopped.
-enum LineRead {
-    /// A complete newline-terminated line within the frame cap.
-    Line(Vec<u8>),
-    /// Orderly end of stream (or a torn trailing fragment at EOF).
-    Eof,
-    /// The client sat silent past the idle read timeout.
-    IdleTimeout,
-    /// The line exceeded the frame cap before a newline arrived.
-    Oversized,
-}
-
-/// Reads one `\n`-terminated line of at most `max` bytes (newline
-/// excluded). Never buffers more than `max + 1` bytes, whatever the
-/// client sends.
-fn read_bounded_line(reader: &mut BufReader<TcpStream>, max: usize) -> LineRead {
-    let mut buf = Vec::new();
-    let mut limited = (&mut *reader).take(max as u64 + 1);
-    match limited.read_until(b'\n', &mut buf) {
-        Ok(0) => LineRead::Eof,
-        Ok(_) => {
-            if buf.last() == Some(&b'\n') {
-                buf.pop();
-                if buf.len() > max {
-                    LineRead::Oversized
-                } else {
-                    LineRead::Line(buf)
-                }
-            } else if buf.len() > max {
-                // Hit the cap with no newline in sight: oversized frame.
-                LineRead::Oversized
-            } else {
-                // Stream ended mid-line; nothing valid to dispatch.
-                LineRead::Eof
-            }
-        }
-        Err(err)
-            if matches!(
-                err.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            LineRead::IdleTimeout
-        }
-        Err(_) => LineRead::Eof,
-    }
-}
-
-fn reader_loop(shared: &Arc<Shared>, stream: TcpStream) {
+/// Reads frames off one connection until it closes, idles out, or sends
+/// an oversized frame, dispatching each as it completes.
+fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let out = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
+    let mut scanner = FrameScanner::new(shared.max_frame_bytes);
+    let mut chunk = [0u8; READ_CHUNK];
     loop {
-        let line = match read_bounded_line(&mut reader, shared.max_frame_bytes) {
-            LineRead::Line(line) => line,
-            LineRead::Eof => break,
-            LineRead::IdleTimeout => {
+        match stream.read(&mut chunk) {
+            // Orderly end of stream; a torn trailing fragment is dropped.
+            Ok(0) => return,
+            Ok(n) => scanner.extend(&chunk[..n]),
+            Err(err) if err.kind() == ErrorKind::Interrupted => continue,
+            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 shared.registry.counter_add("serve.conn.idle_dropped", 1);
                 // Actively hang up (a dup of this socket lives in `conns`
                 // until shutdown, so dropping our halves is not enough).
                 let _ = out.lock().expect("writer lock").shutdown(Shutdown::Both);
-                break;
+                return;
             }
-            LineRead::Oversized => {
-                shared.registry.counter_add("serve.conn.oversized", 1);
-                write_frame(
-                    &out,
-                    &ResponseFrame::error(
-                        0,
-                        shared.backend.epoch(),
-                        code::BAD_REQUEST,
-                        format!(
-                            "frame exceeds {} byte cap; connection closed",
-                            shared.max_frame_bytes
-                        ),
-                    ),
-                );
-                let _ = out.lock().expect("writer lock").shutdown(Shutdown::Both);
-                break;
-            }
-        };
-        let line = String::from_utf8_lossy(&line);
-        if line.trim().is_empty() {
-            continue;
+            Err(_) => return,
         }
-        let received = Instant::now();
-        let frame = match serde_json::from_str::<RequestFrame>(&line) {
-            Ok(frame) => frame,
-            Err(err) => {
-                shared.registry.counter_add("serve.parse_error", 1);
-                write_frame(
-                    &out,
-                    &ResponseFrame::error(
-                        0,
-                        shared.backend.epoch(),
-                        code::BAD_REQUEST,
-                        format!("bad frame: {err}"),
-                    ),
-                );
+        loop {
+            let range = match scanner.next_frame() {
+                Scan::Frame(range) => range,
+                Scan::Incomplete => break,
+                Scan::Oversized => {
+                    shared.registry.counter_add("serve.conn.oversized", 1);
+                    write_frame(
+                        &out,
+                        &ResponseFrame::error(
+                            0,
+                            shared.backend.epoch(),
+                            code::BAD_REQUEST,
+                            format!(
+                                "frame exceeds {} byte cap; connection closed",
+                                shared.max_frame_bytes
+                            ),
+                        ),
+                    );
+                    let _ = out.lock().expect("writer lock").shutdown(Shutdown::Both);
+                    return;
+                }
+            };
+            let line = String::from_utf8_lossy(&scanner.bytes()[range]);
+            if line.trim().is_empty() {
                 continue;
             }
-        };
-        dispatch(shared, frame, &out, received);
+            let received = Instant::now();
+            match serde_json::from_str::<RequestFrame>(&line) {
+                Ok(frame) => dispatch(shared, frame, &out, received),
+                Err(err) => {
+                    shared.registry.counter_add("serve.parse_error", 1);
+                    write_frame(
+                        &out,
+                        &ResponseFrame::error(
+                            0,
+                            shared.backend.epoch(),
+                            code::BAD_REQUEST,
+                            format!("bad frame: {err}"),
+                        ),
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -879,7 +736,7 @@ fn handle_job(shared: &Arc<Shared>, job: Job) {
 
 /// Bounds metric-name cardinality: lowercase alphanumerics and `_`/`-`
 /// pass through (truncated), anything else becomes `other`.
-pub(crate) fn sanitize_endpoint(endpoint: &str) -> String {
+fn sanitize_endpoint(endpoint: &str) -> String {
     let clean = endpoint.len() <= 32
         && !endpoint.is_empty()
         && endpoint
@@ -914,51 +771,15 @@ fn stats_body(shared: &Shared) -> Value {
         },
         "queue_depth": shared.queue.len() as u64,
         "inflight": shared.inflight.load(Ordering::Acquire),
-        "core": "threads",
-        "shards": shard_section(&snap),
         "trace": trace_stats_value(shared.tracer.as_deref()),
     })
-}
-
-/// The per-shard counter section of the `stats` body, reconstructed from
-/// the `serve.shard.<i>.<what>` counters. Empty for the threads core
-/// (which never emits them).
-pub(crate) fn shard_section(snap: &uptime_obs::MetricsSnapshot) -> Value {
-    let mut per_shard: BTreeMap<u64, Map> = BTreeMap::new();
-    for (name, value) in &snap.counters {
-        let Some(rest) = name.strip_prefix("serve.shard.") else {
-            continue;
-        };
-        let Some((index, what)) = rest.split_once('.') else {
-            continue;
-        };
-        let Ok(index) = index.parse::<u64>() else {
-            continue;
-        };
-        if matches!(what, "accepted" | "served" | "shed") {
-            per_shard
-                .entry(index)
-                .or_default()
-                .insert(what.to_owned(), serde_json::to_value(value));
-        }
-    }
-    let mut body = Map::new();
-    for (index, mut tallies) in per_shard {
-        for what in ["accepted", "served", "shed"] {
-            tallies
-                .entry(what.to_owned())
-                .or_insert_with(|| serde_json::to_value(&0u64));
-        }
-        body.insert(index.to_string(), Value::Object(tallies));
-    }
-    Value::Object(body)
 }
 
 /// The `cache_by_endpoint` section of the `stats` body: for every
 /// endpoint that has seen cacheable traffic, its hit/miss/stale tallies,
 /// reconstructed from the `serve.cache.<endpoint>.<verdict>` counters.
 /// Endpoint label cardinality is bounded by `sanitize_endpoint`.
-pub(crate) fn cache_by_endpoint(snap: &uptime_obs::MetricsSnapshot) -> Value {
+fn cache_by_endpoint(snap: &uptime_obs::MetricsSnapshot) -> Value {
     let mut per_endpoint: BTreeMap<&str, Map> = BTreeMap::new();
     for (name, value) in &snap.counters {
         let Some(rest) = name.strip_prefix("serve.cache.") else {
@@ -989,7 +810,7 @@ pub(crate) fn cache_by_endpoint(snap: &uptime_obs::MetricsSnapshot) -> Value {
 /// The flight-recorder section of `stats` and `health` bodies: occupancy
 /// and drop counters, all zero (with `enabled: false`) when tracing is
 /// off.
-pub(crate) fn trace_stats_value(tracer: Option<&FlightRecorder>) -> Value {
+fn trace_stats_value(tracer: Option<&FlightRecorder>) -> Value {
     let stats = tracer.map(FlightRecorder::stats).unwrap_or_default();
     serde_json::json!({
         "enabled": tracer.is_some(),
@@ -1007,15 +828,7 @@ pub(crate) fn trace_stats_value(tracer: Option<&FlightRecorder>) -> Value {
 /// Body params (all optional): `slowest: N` (top-N by total duration),
 /// `errors: true` (error/shed traces only), `format: "json" | "chrome"`.
 fn traces_body(shared: &Shared, params: &Value) -> Result<Value, String> {
-    traces_export(shared.tracer.as_deref(), params)
-}
-
-/// Core-agnostic `traces` export; both serving cores route through this.
-pub(crate) fn traces_export(
-    tracer: Option<&FlightRecorder>,
-    params: &Value,
-) -> Result<Value, String> {
-    let Some(tracer) = tracer else {
+    let Some(tracer) = shared.tracer.as_deref() else {
         return Err("tracing is disabled on this daemon".into());
     };
     if !params.is_null() && params.as_object().is_none() {
@@ -1046,7 +859,7 @@ pub(crate) fn traces_export(
 
 /// The inline `explain` payload: the request's own span tree, compact
 /// enough to ride beside the answer without re-querying `traces`.
-pub(crate) fn explain_value(record: &TraceRecord) -> Value {
+fn explain_value(record: &TraceRecord) -> Value {
     use uptime_obs::trace::AttrValue;
     let spans: Vec<Value> = record
         .spans
@@ -1085,7 +898,7 @@ pub(crate) fn explain_value(record: &TraceRecord) -> Value {
 /// what serializing the equivalent [`ResponseFrame`] would produce (the
 /// vendored serializer emits map keys in sorted order) — without
 /// re-walking the body's value tree.
-pub(crate) fn render_ok_line(
+fn render_ok_line(
     id: u64,
     epoch: u64,
     cached: bool,

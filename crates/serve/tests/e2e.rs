@@ -59,26 +59,14 @@ fn backend() -> ServingBroker {
     ServingBroker::new(broker).with_sync_targets(targets)
 }
 
-/// Applies the `SERVE_CORE` env override so CI can run this whole suite
-/// against either core. The reactor runs with a single shard here: the
-/// suite's shed/coalesce assertions reason about one admission domain,
-/// and one shard keeps the two cores' semantics aligned exactly.
-fn apply_core(config: &mut ServerConfig) {
-    if std::env::var("SERVE_CORE").as_deref() == Ok("reactor") {
-        config.core = uptime_serve::ServeCore::Reactor;
-        config.shards = 1;
-    }
-}
-
 fn start(backend: Arc<dyn ServeBackend>, workers: usize, queue_depth: usize) -> ServerHandle {
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers,
         queue_depth,
         cache_capacity: 64,
         ..ServerConfig::default()
     };
-    apply_core(&mut config);
     Server::start(backend, config, Arc::new(MetricsRegistry::new())).expect("daemon binds")
 }
 
@@ -548,7 +536,7 @@ fn start_with_trace(
     backend: Arc<dyn ServeBackend>,
     trace: uptime_obs::TraceConfig,
 ) -> ServerHandle {
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
         queue_depth: 32,
@@ -556,7 +544,6 @@ fn start_with_trace(
         trace,
         ..ServerConfig::default()
     };
-    apply_core(&mut config);
     Server::start(backend, config, Arc::new(MetricsRegistry::new())).expect("daemon binds")
 }
 
@@ -731,14 +718,13 @@ fn trace_ids_are_deterministic_across_daemons() {
 fn shed_requests_land_in_the_flight_recorder() {
     let gate = Arc::new(GateBackend::new());
     // One worker, one queue slot, tracing on (the default config).
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
         queue_depth: 1,
         cache_capacity: 64,
         ..ServerConfig::default()
     };
-    apply_core(&mut config);
     let handle = Server::start(
         Arc::clone(&gate) as Arc<dyn ServeBackend>,
         config,

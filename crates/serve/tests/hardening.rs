@@ -1,7 +1,14 @@
 //! Connection-hardening tests: the daemon must survive hostile clients —
 //! oversized frames, binary garbage, slowloris silence — without
-//! panicking, leaking reader threads, or buffering unbounded input.
+//! panicking, leaking reader threads, or buffering unbounded input. It
+//! must also reassemble frames however the bytes are split or batched
+//! across socket reads, and never cross answers between pipelined
+//! clients.
+//!
+//! Answers to pipelined frames may arrive out of order (the worker pool
+//! finishes them in any order), so those tests match answers by `id`.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -10,11 +17,13 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use serde::Value;
 use uptime_obs::MetricsRegistry;
+use uptime_serve::reactor::frame::{FrameScanner, Scan};
 use uptime_serve::{
     code, BackendError, RequestFrame, ServeBackend, Server, ServerConfig, ServerHandle,
 };
 
-/// A trivial backend: one cacheable endpoint that echoes a constant.
+/// A trivial backend: one cacheable endpoint that echoes its body. The
+/// fingerprint hashes the body, so distinct payloads never coalesce.
 struct EchoBackend;
 
 impl ServeBackend for EchoBackend {
@@ -22,16 +31,24 @@ impl ServeBackend for EchoBackend {
         1
     }
 
-    fn fingerprint(&self, endpoint: &str, _body: &Value) -> Result<Option<u128>, BackendError> {
+    fn fingerprint(&self, endpoint: &str, body: &Value) -> Result<Option<u128>, BackendError> {
         match endpoint {
-            "echo" => Ok(Some(42)),
+            "echo" => {
+                let text = serde_json::to_string(body).unwrap_or_default();
+                let mut hash: u128 = 0xcbf2_9ce4_8422_2325;
+                for byte in text.bytes() {
+                    hash ^= u128::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(Some(hash))
+            }
             other => Err(BackendError::UnknownEndpoint(other.to_owned())),
         }
     }
 
-    fn handle(&self, endpoint: &str, _body: &Value) -> Result<Value, BackendError> {
+    fn handle(&self, endpoint: &str, body: &Value) -> Result<Value, BackendError> {
         match endpoint {
-            "echo" => Ok(serde_json::json!({ "echo": true })),
+            "echo" => Ok(serde_json::json!({ "echo": body.clone() })),
             other => Err(BackendError::UnknownEndpoint(other.to_owned())),
         }
     }
@@ -46,11 +63,6 @@ fn start(config_tweak: impl FnOnce(&mut ServerConfig)) -> (ServerHandle, Arc<Met
         cache_capacity: 16,
         ..ServerConfig::default()
     };
-    // CI runs this suite against both cores via `SERVE_CORE`.
-    if std::env::var("SERVE_CORE").as_deref() == Ok("reactor") {
-        config.core = uptime_serve::ServeCore::Reactor;
-        config.shards = 1;
-    }
     config_tweak(&mut config);
     let handle =
         Server::start(Arc::new(EchoBackend), config, Arc::clone(&registry)).expect("daemon binds");
@@ -85,9 +97,42 @@ fn pong_flag(frame: &Value) -> Option<bool> {
         .and_then(Value::as_bool)
 }
 
+fn echo_line(id: u64, payload: &str) -> String {
+    format!(
+        "{{\"body\":{{\"payload\":\"{payload}\"}},\"endpoint\":\"echo\",\"id\":{id},\"v\":1}}\n"
+    )
+}
+
+fn echo_payload(answer: &Value) -> Option<&str> {
+    answer
+        .get("body")
+        .and_then(|b| b.get("echo"))
+        .and_then(|e| e.get("payload"))
+        .and_then(Value::as_str)
+}
+
+/// Reads `n` answer lines off `stream`, keyed by their `id`.
+fn answers_by_id(stream: &TcpStream, n: usize) -> BTreeMap<u64, Value> {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut answers = BTreeMap::new();
+    for _ in 0..n {
+        let mut line = String::new();
+        let read = reader.read_line(&mut line).expect("read answer");
+        assert!(read > 0, "daemon hung up with answers outstanding");
+        let answer: Value = serde_json::from_str(&line).expect("answer parses");
+        let id = answer.get("id").and_then(Value::as_u64).expect("answer id");
+        assert!(
+            answers.insert(id, answer).is_none(),
+            "id {id} answered twice"
+        );
+    }
+    answers
+}
+
 #[test]
 fn oversized_frame_gets_400_and_connection_drops() {
     let (mut handle, registry) = start(|c| c.max_frame_bytes = 256);
+    let mut bystander = connect(&handle);
     let mut stream = connect(&handle);
 
     // 10 KiB of 'a' with no newline until the end: far past the cap.
@@ -113,9 +158,12 @@ fn oversized_frame_gets_400_and_connection_drops() {
     assert_eq!(reader.read_line(&mut rest).expect("EOF read"), 0);
     assert_eq!(counter(&registry, "serve.conn.oversized"), 1);
 
-    // The daemon is still healthy for well-behaved clients.
+    // The daemon is still healthy for well-behaved clients, both one
+    // connected before the flood and a fresh one.
+    let pong = roundtrip(&mut bystander, r#"{"id":1,"endpoint":"ping","body":{}}"#);
+    assert_eq!(pong_flag(&pong), Some(true));
     let mut fresh = connect(&handle);
-    let pong = roundtrip(&mut fresh, r#"{"id":1,"endpoint":"ping","body":{}}"#);
+    let pong = roundtrip(&mut fresh, r#"{"id":2,"endpoint":"ping","body":{}}"#);
     assert_eq!(pong_flag(&pong), Some(true));
     handle.shutdown();
 }
@@ -123,7 +171,7 @@ fn oversized_frame_gets_400_and_connection_drops() {
 /// Pins the teardown *ordering* on the edge case where the oversized
 /// line never gets a newline and the client never closes: the `400` must
 /// be written before the connection is shut down, so the client always
-/// learns why it was dropped. Run against both cores in CI.
+/// learns why it was dropped.
 #[test]
 fn oversized_without_newline_gets_400_before_close() {
     let (mut handle, registry) = start(|c| c.max_frame_bytes = 256);
@@ -162,7 +210,6 @@ fn oversized_without_newline_gets_400_before_close() {
 
 /// Malformed (parseable-as-text, unparseable-as-frame) lines get a `400`
 /// and the connection *stays open* — teardown is reserved for oversize.
-/// Pinned here so both cores keep the same contract.
 #[test]
 fn malformed_frame_gets_400_and_connection_survives() {
     let (mut handle, registry) = start(|_| {});
@@ -274,6 +321,145 @@ fn half_line_then_eof_is_harmless() {
     handle.shutdown();
 }
 
+/// A frame dribbled in one byte at a time still parses and answers.
+#[test]
+fn frame_dribbled_one_byte_at_a_time_is_answered() {
+    let (mut handle, _registry) = start(|_| {});
+    let mut stream = connect(&handle);
+    stream.set_nodelay(true).expect("nodelay");
+    for byte in echo_line(9, "dribble").as_bytes() {
+        stream.write_all(std::slice::from_ref(byte)).expect("write");
+        stream.flush().expect("flush");
+    }
+    let answers = answers_by_id(&stream, 1);
+    assert_eq!(answers.get(&9).and_then(echo_payload), Some("dribble"));
+    handle.shutdown();
+}
+
+/// Many frames batched into a single socket write all get answered, each
+/// with its own payload.
+#[test]
+fn frames_batched_in_one_write_all_answer() {
+    let (mut handle, _registry) = start(|c| c.queue_depth = 64);
+    let mut stream = connect(&handle);
+    let batch: String = (1..=20u64)
+        .map(|id| echo_line(id, &format!("p{id}")))
+        .collect();
+    stream.write_all(batch.as_bytes()).expect("write batch");
+    let answers = answers_by_id(&stream, 20);
+    for id in 1..=20u64 {
+        let answer = answers.get(&id).expect("every frame answered");
+        assert_eq!(echo_payload(answer), Some(format!("p{id}").as_str()));
+    }
+    handle.shutdown();
+}
+
+/// Interleaved pipelined clients each get exactly their own answers.
+#[test]
+fn interleaved_clients_never_cross_responses() {
+    // Room for every frame in flight, so nothing is shed.
+    let (mut handle, _registry) = start(|c| c.queue_depth = 128);
+    let mut clients: Vec<TcpStream> = (0..8).map(|_| connect(&handle)).collect();
+    // Interleave: every client sends frame k before any client sends k+1.
+    for round in 0..10u64 {
+        for (c, client) in clients.iter_mut().enumerate() {
+            let id = round * 100 + c as u64;
+            client
+                .write_all(echo_line(id, &format!("c{c}r{round}")).as_bytes())
+                .expect("write");
+        }
+    }
+    for (c, client) in clients.iter().enumerate() {
+        let answers = answers_by_id(client, 10);
+        for round in 0..10u64 {
+            let id = round * 100 + c as u64;
+            let answer = answers
+                .get(&id)
+                .unwrap_or_else(|| panic!("client {c} missing id {id}: {answers:?}"));
+            assert_eq!(
+                echo_payload(answer),
+                Some(format!("c{c}r{round}").as_str()),
+                "client {c} got someone else's answer in round {round}"
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+/// Feeds `payload` to a scanner in the given chunk sizes and collects
+/// every complete frame it reports, and whether it hit the size cap.
+fn scan_chunked(payload: &[u8], chunks: &[usize], max_frame: usize) -> (Vec<Vec<u8>>, bool) {
+    let mut scanner = FrameScanner::new(max_frame);
+    let mut frames = Vec::new();
+    let mut offset = 0;
+    let mut chunk_sizes = chunks.iter().copied().cycle();
+    while offset < payload.len() {
+        let take = chunk_sizes
+            .next()
+            .unwrap_or(1)
+            .max(1)
+            .min(payload.len() - offset);
+        scanner.extend(&payload[offset..offset + take]);
+        offset += take;
+        loop {
+            match scanner.next_frame() {
+                Scan::Frame(range) => frames.push(scanner.bytes()[range].to_vec()),
+                Scan::Incomplete => break,
+                Scan::Oversized => return (frames, true),
+            }
+        }
+    }
+    (frames, false)
+}
+
+/// Maps byte draws onto newline-free, JSON-ish printable bytes.
+fn frame_bytes(picks: &[usize]) -> Vec<u8> {
+    const ALPHABET: &[u8; 16] = b"az{}[]\"0123456:,";
+    picks.iter().map(|&i| ALPHABET[i % 16]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever way a legal frame stream is split across reads, the
+    /// scanner reassembles exactly the original frames, in order.
+    #[test]
+    fn any_chunking_reassembles_the_same_frames(
+        frame_picks in proptest::collection::vec(
+            proptest::collection::vec(0usize..16, 0..40),
+            1..12,
+        ),
+        chunks in proptest::collection::vec(1usize..17, 1..8),
+    ) {
+        let frames: Vec<Vec<u8>> = frame_picks.iter().map(|p| frame_bytes(p)).collect();
+        let mut payload = Vec::new();
+        for frame in &frames {
+            payload.extend_from_slice(frame);
+            payload.push(b'\n');
+        }
+        let (scanned, oversized) = scan_chunked(&payload, &chunks, 64);
+        prop_assert!(!oversized, "legal frames must never report oversize");
+        prop_assert_eq!(scanned, frames);
+    }
+
+    /// A line beyond the cap poisons the scanner at whatever chunking,
+    /// and every frame before it is still delivered intact.
+    #[test]
+    fn oversize_poisons_under_any_chunking(
+        prefix_picks in proptest::collection::vec(0usize..16, 0..16),
+        chunks in proptest::collection::vec(1usize..13, 1..6),
+    ) {
+        let prefix = frame_bytes(&prefix_picks);
+        let mut payload = prefix.clone();
+        payload.push(b'\n');
+        payload.extend_from_slice(&[b'x'; 40]); // over the 32-byte cap
+        payload.push(b'\n');
+        let (scanned, oversized) = scan_chunked(&payload, &chunks, 32);
+        prop_assert!(oversized);
+        prop_assert_eq!(scanned, vec![prefix]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -292,11 +478,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..16, 0..64),
         id in any::<u64>(),
     ) {
-        const ALPHABET: &[u8; 16] = b"az{}[]\"0123456:,";
-        let endpoint: String = picks
-            .iter()
-            .map(|&i| char::from(ALPHABET[i]))
-            .collect();
+        let endpoint = String::from_utf8(frame_bytes(&picks)).expect("ASCII alphabet");
         let line = format!("{{\"id\":{id},\"endpoint\":\"{endpoint}\",\"body\":{{}}}}");
         let _ = serde_json::from_str::<RequestFrame>(&line);
     }
