@@ -1,5 +1,6 @@
 //! PR 2 factorized-engine benchmarks: naive per-assignment evaluation vs
-//! the cached-term incremental cursor, on the three reference workloads —
+//! the composition kernel's cached-term incremental cursor (pure-series
+//! spaces), on the three reference workloads —
 //! the paper's 2³ space, the hybrid metacloud joint space (972 variants),
 //! and the synthetic 6-tier × 6-choice space (46 656 variants).
 //!
@@ -13,7 +14,10 @@ use uptime_bench::{
     hybrid_metacloud_space, paper_model, paper_space, synthetic_model, synthetic_space,
 };
 use uptime_core::TcoModel;
-use uptime_optimizer::{fast, parallel, Evaluation, FastEvaluator, Objective, SearchSpace};
+use uptime_optimizer::{
+    composition, parallel, CompositionEvaluator, CompositionSpace, Evaluation, Objective,
+    SearchSpace,
+};
 
 /// The pre-PR-2 search loop: naive evaluation of every assignment.
 fn naive_sweep(space: &SearchSpace, model: &TcoModel) -> Evaluation {
@@ -25,16 +29,17 @@ fn naive_sweep(space: &SearchSpace, model: &TcoModel) -> Evaluation {
 }
 
 fn bench_space(c: &mut Criterion, name: &str, space: &SearchSpace, model: &TcoModel) {
+    let chain = CompositionSpace::from_serial(space);
     let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.bench_function("naive_sweep", |b| {
         b.iter(|| naive_sweep(black_box(space), model))
     });
     group.bench_function("fast_streaming", |b| {
-        b.iter(|| fast::search(black_box(space), model, Objective::MinTco))
+        b.iter(|| composition::search(black_box(&chain), model, Objective::MinTco))
     });
     group.bench_function("fast_parallel_streaming", |b| {
-        b.iter(|| parallel::search_best(black_box(space), model, Objective::MinTco))
+        b.iter(|| parallel::search_best(black_box(&chain), model, Objective::MinTco))
     });
     group.finish();
 }
@@ -66,7 +71,8 @@ fn bench_synthetic(c: &mut Criterion) {
 fn bench_single_evaluation(c: &mut Criterion) {
     let space = synthetic_space(6, 6);
     let model = synthetic_model();
-    let engine = FastEvaluator::new(&space, &model);
+    let chain = CompositionSpace::from_serial(&space);
+    let engine = CompositionEvaluator::new(&chain, &model);
     let assignment = vec![3usize; 6];
     let mut group = c.benchmark_group("fast_single_eval_6x6");
     group.bench_function("naive", |b| {

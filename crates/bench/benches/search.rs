@@ -8,11 +8,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use uptime_bench::{paper_model, paper_space, synthetic_model, synthetic_space};
 use uptime_core::{PenaltyClause, RoundingPolicy};
 use uptime_optimizer::{
-    anneal, branch_bound, exhaustive, greedy, parallel, pruned, sweep, Objective,
+    anneal, composition_bnb, exhaustive, greedy, pruned, sweep, CompositionSpace, Objective,
 };
 
 fn bench_paper_space_algorithms(c: &mut Criterion) {
     let space = paper_space();
+    let chain = CompositionSpace::from_serial(&space);
     let model = paper_model();
     let mut group = c.benchmark_group("paper_space_2x2x2");
     group.bench_function("exhaustive", |b| {
@@ -22,7 +23,7 @@ fn bench_paper_space_algorithms(c: &mut Criterion) {
         b.iter(|| pruned::search(black_box(&space), &model, Objective::MinTco))
     });
     group.bench_function("branch_bound", |b| {
-        b.iter(|| branch_bound::search(black_box(&space), &model))
+        b.iter(|| composition_bnb::search(black_box(&chain), &model))
     });
     group.bench_function("greedy", |b| {
         b.iter(|| greedy::search(black_box(&space), &model, Objective::MinTco))
@@ -41,8 +42,9 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pruned", n), &space, |b, s| {
             b.iter(|| pruned::search(s, &model, Objective::MinTco))
         });
-        group.bench_with_input(BenchmarkId::new("branch_bound", n), &space, |b, s| {
-            b.iter(|| branch_bound::search(s, &model))
+        let chain = CompositionSpace::from_serial(&space);
+        group.bench_with_input(BenchmarkId::new("branch_bound", n), &chain, |b, s| {
+            b.iter(|| composition_bnb::search(s, &model))
         });
         group.bench_with_input(BenchmarkId::new("greedy", n), &space, |b, s| {
             b.iter(|| greedy::search(s, &model, Objective::MinTco))
@@ -59,27 +61,14 @@ fn bench_wider_choice_sets(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exhaustive", k), &space, |b, s| {
             b.iter(|| exhaustive::search(s, &model, Objective::MinTco))
         });
-        group.bench_with_input(BenchmarkId::new("branch_bound", k), &space, |b, s| {
-            b.iter(|| branch_bound::search(s, &model))
+        let chain = CompositionSpace::from_serial(&space);
+        group.bench_with_input(BenchmarkId::new("branch_bound", k), &chain, |b, s| {
+            b.iter(|| composition_bnb::search(s, &model))
         });
         group.bench_with_input(BenchmarkId::new("anneal", k), &space, |b, s| {
             b.iter(|| anneal::search(s, &model, Objective::MinTco))
         });
     }
-    group.finish();
-}
-
-fn bench_parallel_exhaustive(c: &mut Criterion) {
-    let model = synthetic_model();
-    let space = synthetic_space(10, 3); // 59049 assignments
-    let mut group = c.benchmark_group("parallel_exhaustive_n10_k3");
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| exhaustive::search(black_box(&space), &model, Objective::MinTco))
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| parallel::search(black_box(&space), &model, Objective::MinTco))
-    });
     group.finish();
 }
 
@@ -105,7 +94,6 @@ criterion_group!(
     bench_paper_space_algorithms,
     bench_scaling,
     bench_wider_choice_sets,
-    bench_parallel_exhaustive,
     bench_sla_sweep
 );
 criterion_main!(benches);

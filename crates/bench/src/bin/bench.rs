@@ -14,7 +14,9 @@ use uptime_bench::{
     hybrid_metacloud_space, paper_model, paper_space, synthetic_model, synthetic_space,
 };
 use uptime_core::TcoModel;
-use uptime_optimizer::{fast, parallel, Evaluation, Objective, SearchSpace};
+use uptime_optimizer::{
+    composition, parallel, CompositionSpace, Evaluation, Objective, SearchSpace,
+};
 
 /// The pre-PR-2 loop: clone clusters, rebuild the `SystemSpec`, evaluate —
 /// for every assignment — then rank.
@@ -52,9 +54,9 @@ struct Row {
 /// Runs each instrumented engine once against a live registry and distills
 /// the per-stage span breakdown (histograms named `*.ns`, plus counters)
 /// for the report.
-fn span_breakdown(space: &SearchSpace, model: &TcoModel) -> serde_json::Value {
+fn span_breakdown(space: &CompositionSpace, model: &TcoModel) -> serde_json::Value {
     let registry = uptime_obs::MetricsRegistry::new();
-    let _ = fast::search_recorded(
+    let _ = composition::search_recorded(
         space,
         model,
         Objective::MinTco,
@@ -98,7 +100,8 @@ fn span_breakdown(space: &SearchSpace, model: &TcoModel) -> serde_json::Value {
 
 fn measure(name: &'static str, space: &SearchSpace, model: &TcoModel, reps: u32) -> Row {
     let naive_best = naive_sweep(space, model);
-    let fast_best = fast::search(space, model, Objective::MinTco);
+    let chain = &CompositionSpace::from_serial(space);
+    let fast_best = composition::search(chain, model, Objective::MinTco);
     assert_eq!(
         fast_best.best().unwrap().assignment(),
         naive_best.assignment(),
@@ -108,10 +111,12 @@ fn measure(name: &'static str, space: &SearchSpace, model: &TcoModel, reps: u32)
         name,
         assignments: space.assignment_count(),
         naive_ns: time_ns(reps, || naive_sweep(space, model)),
-        fast_ns: time_ns(reps, || fast::search(space, model, Objective::MinTco)),
+        fast_ns: time_ns(reps, || {
+            composition::search(chain, model, Objective::MinTco)
+        }),
         fast_noop_ns: time_ns(reps, || {
-            fast::search_recorded(
-                space,
+            composition::search_recorded(
+                chain,
                 model,
                 Objective::MinTco,
                 &uptime_obs::NOOP,
@@ -119,9 +124,9 @@ fn measure(name: &'static str, space: &SearchSpace, model: &TcoModel, reps: u32)
             )
         }),
         parallel_ns: time_ns(reps, || {
-            parallel::search_best(space, model, Objective::MinTco)
+            parallel::search_best(chain, model, Objective::MinTco)
         }),
-        spans: span_breakdown(space, model),
+        spans: span_breakdown(chain, model),
     }
 }
 

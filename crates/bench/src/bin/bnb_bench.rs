@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use uptime_bench::{synthetic_model, synthetic_space};
 use uptime_core::TcoModel;
-use uptime_optimizer::{branch_bound, fast, BnbStats, Objective, SearchSpace};
+use uptime_optimizer::{composition, composition_bnb, BnbStats, CompositionSpace, Objective};
 
 /// Times `body` over `reps` runs and returns the best (least-noise) wall
 /// time in nanoseconds.
@@ -57,9 +57,9 @@ fn stats_json(ns: u128, stats: &BnbStats) -> serde_json::Value {
 
 /// One recorded parallel run on the space, distilled to the
 /// `optimizer.bnb.*` counters, gauge, and span the engine flushes.
-fn obs_section(space: &SearchSpace, model: &TcoModel) -> serde_json::Value {
+fn obs_section(space: &CompositionSpace, model: &TcoModel) -> serde_json::Value {
     let registry = uptime_obs::MetricsRegistry::new();
-    let _ = branch_bound::search_with_threads_recorded(
+    let _ = composition_bnb::search_with_threads_recorded(
         space,
         model,
         0,
@@ -119,18 +119,18 @@ impl Row {
     }
 }
 
-/// Measures one `(n, k)` space. When `enumerate` is set the fast streaming
+/// Measures one `(n, k)` space. When `enumerate` is set the streaming
 /// engine sweeps the whole space too and every engine's argmin is checked
 /// for exact agreement; either way the bounded search must be bit-identical
 /// across 1, 2, and the machine's worker count.
 fn measure(n: usize, k: usize, reps: u32, enumerate: bool) -> Row {
-    let space = synthetic_space(n, k);
+    let space = CompositionSpace::from_serial(&synthetic_space(n, k));
     let model = synthetic_model();
 
-    let (serial, serial_stats) = branch_bound::search_with_stats(&space, &model, 1);
+    let (serial, serial_stats) = composition_bnb::search_with_stats(&space, &model, 1);
     let serial_best = serial.best().expect("non-empty space").clone();
     for threads in [2, 0] {
-        let (sharded, _) = branch_bound::search_with_stats(&space, &model, threads);
+        let (sharded, _) = composition_bnb::search_with_stats(&space, &model, threads);
         assert_eq!(
             sharded.best().expect("non-empty space"),
             &serial_best,
@@ -138,26 +138,26 @@ fn measure(n: usize, k: usize, reps: u32, enumerate: bool) -> Row {
         );
     }
     let fast_ns = if enumerate {
-        let streamed = fast::search(&space, &model, Objective::MinTco);
+        let streamed = composition::search(&space, &model, Objective::MinTco);
         assert_eq!(
             streamed.best().expect("non-empty space"),
             &serial_best,
             "{n}^{k}: branch-and-bound argmin diverged from full enumeration"
         );
         Some(time_ns(reps, || {
-            fast::search(&space, &model, Objective::MinTco)
+            composition::search(&space, &model, Objective::MinTco)
         }))
     } else {
         None
     };
 
     let bnb_serial_ns = time_ns(reps, || {
-        branch_bound::search_with_threads(&space, &model, 1)
+        composition_bnb::search_with_threads(&space, &model, 1)
     });
     let bnb_parallel_ns = time_ns(reps, || {
-        branch_bound::search_with_threads(&space, &model, 0)
+        composition_bnb::search_with_threads(&space, &model, 0)
     });
-    let (_, parallel_stats) = branch_bound::search_with_stats(&space, &model, 0);
+    let (_, parallel_stats) = composition_bnb::search_with_stats(&space, &model, 0);
 
     Row {
         name: format!("synthetic_{k}^{n}"),
@@ -272,7 +272,10 @@ fn main() {
         "projected_6^12_enumeration_ns": projected_enumeration_ns,
         "bnb_6^12_parallel_ns": big.bnb_parallel_ns as u64,
         "gates_pass": all_pass,
-        "obs": obs_section(&synthetic_space(9, 6), &synthetic_model()),
+        "obs": obs_section(
+            &CompositionSpace::from_serial(&synthetic_space(9, 6)),
+            &synthetic_model(),
+        ),
     });
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, rendered).expect("write benchmark report");

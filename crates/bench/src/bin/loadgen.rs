@@ -660,9 +660,10 @@ fn cold_cli_rps(reps: u32) -> Option<f64> {
 /// report section, the measured speedup, and whether the frontiers
 /// matched point-for-point.
 fn frontier_bench() -> (Value, f64, bool) {
-    use uptime_optimizer::pareto_bnb;
+    use uptime_optimizer::{pareto_bnb, CompositionSpace};
 
     let space = uptime_bench::synthetic_space(6, 6);
+    let chain = CompositionSpace::from_serial(&space);
     let model = uptime_bench::synthetic_model();
     let constraints = pareto_bnb::FrontierConstraints::NONE;
     let epsilon = 1e-9;
@@ -676,7 +677,7 @@ fn frontier_bench() -> (Value, f64, bool) {
     let mut outcome = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let run = pareto_bnb::search(&space, &model, &constraints, epsilon);
+        let run = pareto_bnb::composition_search(&chain, &model, &constraints, epsilon);
         bnb_ns = bnb_ns.min(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         outcome = Some(run);
     }

@@ -12,7 +12,7 @@ use uptime_bench::{paper_broker, paper_request, synthetic_model, synthetic_space
 use uptime_broker::{audit_recommendation, report, settlement};
 use uptime_catalog::ComponentKind;
 use uptime_core::{MoneyPerMonth, PenaltyClause, RoundingPolicy, SystemSpec};
-use uptime_optimizer::{branch_bound, exhaustive, pruned, sweep, Objective};
+use uptime_optimizer::{composition_bnb, exhaustive, pruned, sweep, CompositionSpace, Objective};
 use uptime_sim::{CommonCause, CorrelatedSimulation, SimDuration};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -102,7 +102,7 @@ fn complexity() {
             let space = synthetic_space(n, k);
             let full = exhaustive::search(&space, &model, Objective::MinTco);
             let fast = pruned::search(&space, &model, Objective::MinTco);
-            let bb = branch_bound::search(&space, &model);
+            let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
             let best = full.best().expect("non-empty").tco().total();
             let agree = fast.best().expect("non-empty").tco().total() == best
                 && bb.best().expect("non-empty").tco().total() == best;

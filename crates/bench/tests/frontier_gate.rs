@@ -9,7 +9,7 @@
 //! path and may differ in the last ulp.
 
 use uptime_bench::{synthetic_model, synthetic_space};
-use uptime_optimizer::pareto_bnb;
+use uptime_optimizer::{pareto_bnb, CompositionSpace};
 
 #[test]
 fn bnb_matches_naive_on_the_synthetic_6x6_space() {
@@ -17,7 +17,8 @@ fn bnb_matches_naive_on_the_synthetic_6x6_space() {
     let model = synthetic_model();
     let constraints = pareto_bnb::FrontierConstraints::NONE;
     let naive = pareto_bnb::naive_frontier(&space, &model, &constraints);
-    let bnb = pareto_bnb::search(&space, &model, &constraints, 1e-9);
+    let chain = CompositionSpace::from_serial(&space);
+    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, 1e-9);
     assert!(!naive.is_empty());
     let key = |p: &uptime_optimizer::ParetoPoint| {
         (

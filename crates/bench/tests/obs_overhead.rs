@@ -1,5 +1,6 @@
-//! The observability overhead budget: running the hot `fast` engine with
-//! the no-op recorder must stay within 5% of the uninstrumented search.
+//! The observability overhead budget: running the hot streaming engine
+//! with the no-op recorder must stay within 5% of the uninstrumented
+//! search.
 //!
 //! The instrumented wrapper's only cost with [`uptime_obs::NOOP`] is one
 //! span guard (two `Instant::now` calls) and two no-op counter flushes per
@@ -11,7 +12,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use uptime_bench::{synthetic_model, synthetic_space};
-use uptime_optimizer::{fast, Objective};
+use uptime_optimizer::{composition, CompositionSpace, Objective};
 
 fn best_of<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
     let mut best = u128::MAX;
@@ -26,12 +27,12 @@ fn best_of<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
 
 #[test]
 fn noop_recorder_overhead_is_within_budget() {
-    let space = synthetic_space(6, 6);
+    let space = CompositionSpace::from_serial(&synthetic_space(6, 6));
     let model = synthetic_model();
 
     // Results must be bit-identical before timing means anything.
-    let plain = fast::search(&space, &model, Objective::MinTco);
-    let recorded = fast::search_recorded(
+    let plain = composition::search(&space, &model, Objective::MinTco);
+    let recorded = composition::search_recorded(
         &space,
         &model,
         Objective::MinTco,
@@ -42,12 +43,12 @@ fn noop_recorder_overhead_is_within_budget() {
 
     // Warm-up, then up to three timing rounds: accept the first round
     // within budget, fail only if every round regresses past 5%.
-    let _ = best_of(2, || fast::search(&space, &model, Objective::MinTco));
+    let _ = best_of(2, || composition::search(&space, &model, Objective::MinTco));
     let mut last_ratio = f64::NAN;
     for round in 0..3 {
-        let plain_ns = best_of(5, || fast::search(&space, &model, Objective::MinTco));
+        let plain_ns = best_of(5, || composition::search(&space, &model, Objective::MinTco));
         let noop_ns = best_of(5, || {
-            fast::search_recorded(
+            composition::search_recorded(
                 &space,
                 &model,
                 Objective::MinTco,

@@ -1,14 +1,13 @@
 //! Scale regression for the parallel search (ISSUE PR 2 satellite).
 //!
-//! The pre-PR-2 `parallel::search_with_threads` collected **every**
-//! assignment into a `Vec<Vec<usize>>` before spawning workers, so memory
-//! grew with `k^n` even when the caller only wanted the argmin. The
-//! streaming sharder must complete a 6⁶ (46 656-variant) space while
-//! holding only per-worker cursor state plus the single winning
-//! evaluation.
+//! The pre-PR-2 parallel search collected **every** assignment into a
+//! `Vec<Vec<usize>>` before spawning workers, so memory grew with `k^n`
+//! even when the caller only wanted the argmin. The streaming sharder
+//! must complete a 6⁶ (46 656-variant) space while holding only
+//! per-worker cursor state plus the single winning evaluation.
 
 use uptime_bench::{synthetic_model, synthetic_space};
-use uptime_optimizer::{fast, parallel, Objective};
+use uptime_optimizer::{composition, parallel, CompositionSpace, Objective};
 
 /// Peak RSS of this process in kilobytes, from `/proc/self/status`
 /// (`VmHWM`). Returns `None` off Linux so the functional assertions still
@@ -21,7 +20,7 @@ fn peak_rss_kb() -> Option<u64> {
 
 #[test]
 fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
-    let space = synthetic_space(6, 6);
+    let space = CompositionSpace::from_serial(&synthetic_space(6, 6));
     let model = synthetic_model();
     assert_eq!(space.assignment_count(), 46_656);
 
@@ -34,7 +33,7 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
     );
 
     // Sharded streaming agrees with the serial streaming argmin.
-    let serial = fast::search(&space, &model, Objective::MinTco);
+    let serial = composition::search(&space, &model, Objective::MinTco);
     assert_eq!(outcome.best().unwrap(), serial.best().unwrap());
 
     // The whole test binary — space construction included — must stay far
@@ -48,7 +47,7 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
 
 #[test]
 fn six_to_the_sixth_thread_counts_agree() {
-    let space = synthetic_space(6, 6);
+    let space = CompositionSpace::from_serial(&synthetic_space(6, 6));
     let model = synthetic_model();
     let reference = parallel::search_best_with_threads(&space, &model, Objective::MinTco, 1);
     for threads in [0, 3, 16, 1000] {

@@ -14,7 +14,8 @@ use serde::{Deserialize, Serialize};
 use uptime_catalog::{CloudId, ComponentKind, HaMethodId};
 use uptime_core::MoneyPerMonth;
 use uptime_optimizer::{
-    branch_bound, parallel, Candidate, ComponentChoices, Evaluation, Objective, SearchSpace,
+    composition_bnb, parallel, Candidate, ComponentChoices, CompositionSpace, Evaluation,
+    Objective, SearchSpace,
 };
 
 use crate::error::BrokerError;
@@ -172,7 +173,7 @@ impl BrokerService {
             components.push(ComponentChoices::new(kind.label(), candidates)?);
             keys.push(tier_keys);
         }
-        let space = SearchSpace::new(components)?;
+        let space = CompositionSpace::from_serial(&SearchSpace::new(components)?);
         let searched = space.assignment_count();
 
         let model = request.tco_model();
@@ -184,7 +185,7 @@ impl BrokerService {
         trace_span.attr_u64("variants", u64::try_from(searched).unwrap_or(u64::MAX));
         let outcome = match self.engine() {
             SearchEngine::Exhaustive => parallel::search_best(&space, &model, Objective::MinTco),
-            SearchEngine::BranchBound => branch_bound::search_with_threads_recorded(
+            SearchEngine::BranchBound => composition_bnb::search_with_threads_recorded(
                 &space,
                 &model,
                 0,
@@ -199,7 +200,7 @@ impl BrokerService {
             .iter()
             .zip(request.tiers())
             .zip(&keys)
-            .zip(space.components())
+            .zip(space.leaves())
             .map(|(((&idx, kind), tier_keys), comp)| {
                 let (cloud, method) = tier_keys[idx].clone();
                 Placement {

@@ -8,9 +8,10 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use uptime_catalog::{CatalogStore, CloudId, ComponentKind, HaMethodId};
+use uptime_core::TcoModel;
 use uptime_durability::{Journal, SnapshotStore, StateDir, HEADER_LEN};
 use uptime_optimizer::{
-    branch_bound, composition, composition_bnb, exhaustive, pareto_bnb, Archetype,
+    composition, composition_bnb, exhaustive, pareto_bnb, Archetype, Candidate,
     CompositionEvaluator, CompositionSpace, Evaluation, FrontierOutcome, Objective, SearchSpace,
     SearchStats,
 };
@@ -186,14 +187,15 @@ pub struct BrokerHealth {
 /// `--engine` flag.
 ///
 /// [`SearchEngine::Exhaustive`] materializes every HA permutation so the
-/// recommendation carries the paper's full Fig. 10 option table.
+/// recommendation carries the paper's full Fig. 10 option table (spaces
+/// past 4,096 variants are streamed and the table trimmed to the winner).
 /// [`SearchEngine::BranchBound`] runs the tight-bound work-stealing
 /// parallel branch-and-bound
-/// ([`uptime_optimizer::branch_bound::search_with_threads`]): exactly the
-/// same `MinTco` winner, but the option table is trimmed to the winner
-/// (plus the as-is option when one is declared) because the engine never
-/// visits — let alone materializes — most of the space. Use it when the
-/// space is too large to enumerate; the recommendation's search stats
+/// ([`uptime_optimizer::composition_bnb::search_with_threads`]): exactly
+/// the same `MinTco` winner, but the option table is trimmed to the
+/// winner (plus the as-is option when one is declared) because the engine
+/// never visits — let alone materializes — most of the space. Use it when
+/// the space is too large to enumerate; the recommendation's search stats
 /// then show how much of the space the bound discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchEngine {
@@ -767,6 +769,12 @@ impl BrokerService {
     /// search counters — below `parent`. Identical answer bytes; the only
     /// difference is what lands in the flight recorder.
     ///
+    /// A `topology` on the request replicates the tiers into that
+    /// deployment archetype's series–parallel shape (see [`Archetype`]);
+    /// without one the tiers form the paper's serial chain. Both are
+    /// searched by the same engines and ranked by the same table rule
+    /// (see [`Self::option_table`]).
+    ///
     /// # Errors
     ///
     /// Same as [`Self::recommend`].
@@ -775,75 +783,31 @@ impl BrokerService {
         request: &SolutionRequest,
         parent: &uptime_obs::TraceSpan,
     ) -> Result<Recommendation, BrokerError> {
-        if let Some(topology) = request.topology() {
-            return self.recommend_archetype(request, topology, parent);
-        }
         let rec = &*self.recorder;
         let _span = uptime_obs::span!(rec, "broker.recommend");
         let trace_span = parent.child("broker.recommend");
+        let archetype = request_archetype(request)?;
+        if archetype.is_some() && request.as_is().is_some() {
+            // As-is methods name one candidate per *serial tier*; an
+            // archetype space has per-leaf candidates in a different
+            // arity, so the Fig. 10 savings comparison has no referent.
+            return Err(BrokerError::InvalidRequest {
+                reason: "as-is comparison is not supported with a topology archetype".into(),
+            });
+        }
         let catalog = self.catalog.read();
         let clouds = resolve_clouds(&catalog, request)?;
 
         let model = request.tco_model();
         let mut cloud_recs = Vec::with_capacity(clouds.len());
         for cloud in clouds {
-            let space = SearchSpace::from_catalog(&catalog, &cloud, request.tiers())?;
-            // Method ids per tier, in the same order the space was built.
-            let method_ids: Vec<Vec<HaMethodId>> = request
-                .tiers()
-                .iter()
-                .map(|kind| {
-                    catalog
-                        .methods_for(*kind)
-                        .iter()
-                        .map(|m| m.id().clone())
-                        .collect()
-                })
-                .collect();
-
+            let (space, method_ids) = cloud_space(&catalog, &cloud, request, archetype)?;
             let as_is_assignment = match request.as_is() {
                 Some(methods) => Some(resolve_as_is(&method_ids, methods)?),
                 None => None,
             };
-
-            let (outcome, ordered) = match self.engine {
-                SearchEngine::Exhaustive => {
-                    let outcome = exhaustive::search_recorded(
-                        &space,
-                        &model,
-                        Objective::MinTco,
-                        rec,
-                        &trace_span,
-                    );
-                    // Paper numbering: ascending cardinality, then
-                    // mixed-radix value.
-                    let mut ordered: Vec<Evaluation> = outcome.evaluations().to_vec();
-                    ordered.sort_by_key(|e| {
-                        (e.cardinality(), assignment_value(&space, e.assignment()))
-                    });
-                    (outcome, ordered)
-                }
-                SearchEngine::BranchBound => {
-                    // Streaming: the engine proves the winner without
-                    // visiting most of the space, so the option table is
-                    // trimmed to the winner plus the declared as-is.
-                    let outcome = branch_bound::search_with_threads_recorded(
-                        &space,
-                        &model,
-                        0,
-                        rec,
-                        &trace_span,
-                    );
-                    let winner = outcome.best().ok_or(BrokerError::NoCandidates)?.clone();
-                    let mut ordered = vec![winner];
-                    if let Some(assignment) = &as_is_assignment {
-                        if assignment.as_slice() != ordered[0].assignment() {
-                            ordered.push(Evaluation::evaluate(&space, &model, assignment));
-                        }
-                    }
-                    (outcome, ordered)
-                }
-            };
+            let (ordered, stats) =
+                self.option_table(&space, &model, as_is_assignment.as_deref(), &trace_span)?;
 
             let mut options = Vec::with_capacity(ordered.len());
             let mut best_index = 0;
@@ -851,19 +815,14 @@ impl BrokerService {
             let mut as_is_index: Option<usize> = None;
             for (i, e) in ordered.iter().enumerate() {
                 let meets = model.sla().is_met_by(e.uptime().availability());
-                let ids = e
-                    .assignment()
-                    .iter()
-                    .zip(&method_ids)
-                    .map(|(&idx, tier)| tier[idx].clone())
-                    .collect();
-                let labels = e.labels(&space).iter().map(|s| (*s).to_owned()).collect();
-                let tier_costs = e
-                    .assignment()
-                    .iter()
-                    .zip(space.components())
-                    .map(|(&idx, comp)| comp.candidates()[idx].monthly_cost())
-                    .collect();
+                let mut labels = Vec::with_capacity(method_ids.len());
+                let mut ids = Vec::with_capacity(method_ids.len());
+                let mut tier_costs = Vec::with_capacity(method_ids.len());
+                for (candidate, id) in chosen(&space, &method_ids, e.assignment()) {
+                    labels.push(candidate.label().to_owned());
+                    ids.push(id.clone());
+                    tier_costs.push(candidate.monthly_cost());
+                }
                 options.push(RankedOption::new(
                     i + 1,
                     labels,
@@ -896,158 +855,58 @@ impl BrokerService {
                 best_index,
                 min_risk_index,
                 as_is_index,
-                outcome.stats(),
+                stats,
             ));
         }
         drop(catalog);
         Ok(self.finish_recommendation(cloud_recs))
     }
 
-    /// The archetype-topology variant of [`BrokerService::recommend`]:
-    /// replicates the paper tiers into the requested series–parallel
-    /// shape (see [`Archetype`]) and searches the composition space —
-    /// exhaustively with a full Fig.-10-style option table, or by exact
-    /// branch-and-bound with the table trimmed to the proven winner.
-    fn recommend_archetype(
+    /// One cloud's ranked option table and its search stats — the one
+    /// table rule for serial and archetype requests alike. The exhaustive
+    /// engine ranks every variant the way the paper numbers them
+    /// (ascending cardinality, then mixed-radix value) while the space has
+    /// at most [`TABLE_CAP`] of them; beyond it the streamed winner stands
+    /// alone. Branch-and-bound proves the winner without visiting most of
+    /// the space, so its table is the winner too. A trimmed table keeps
+    /// the declared as-is option as a second row.
+    fn option_table(
         &self,
-        request: &SolutionRequest,
-        topology: &str,
-        parent: &uptime_obs::TraceSpan,
-    ) -> Result<Recommendation, BrokerError> {
+        space: &CompositionSpace,
+        model: &TcoModel,
+        as_is: Option<&[usize]>,
+        trace_span: &uptime_obs::TraceSpan,
+    ) -> Result<(Vec<Evaluation>, SearchStats), BrokerError> {
         let rec = &*self.recorder;
-        let _span = uptime_obs::span!(rec, "broker.recommend.archetype");
-        let trace_span = parent.child("broker.recommend.archetype");
-        let archetype: Archetype =
-            topology
-                .parse()
-                .map_err(|err: uptime_optimizer::archetypes::UnknownArchetype| {
-                    BrokerError::InvalidRequest {
-                        reason: err.to_string(),
-                    }
-                })?;
-        if request.as_is().is_some() {
-            // As-is methods name one candidate per *serial tier*; an
-            // archetype space has per-leaf candidates in a different
-            // arity, so the Fig. 10 savings comparison has no referent.
-            return Err(BrokerError::InvalidRequest {
-                reason: "as-is comparison is not supported with a topology archetype".into(),
-            });
-        }
-        let catalog = self.catalog.read();
-        let clouds = resolve_clouds(&catalog, request)?;
-
-        let model = request.tco_model();
-        let mut cloud_recs = Vec::with_capacity(clouds.len());
-        for cloud in clouds {
-            let space = archetype.space(&catalog, &cloud)?;
-            let method_ids = leaf_method_ids(&catalog, &space);
-            let (ordered, stats) = match self.engine {
-                SearchEngine::Exhaustive => {
-                    if space.assignment_count() <= ARCHETYPE_TABLE_CAP {
-                        // Small enough to rank every variant the way the
-                        // paper numbers them: ascending cardinality, then
-                        // mixed-radix value.
-                        let mut table_span = trace_span.child("optimizer.composition.table");
-                        let evaluator = CompositionEvaluator::new(&space, &model);
-                        let mut cursor = evaluator.cursor();
-                        let mut ordered = vec![cursor.evaluation()];
-                        while cursor.advance() {
-                            ordered.push(cursor.evaluation());
-                        }
-                        let stats = SearchStats {
-                            evaluated: ordered.len() as u64,
-                            skipped: 0,
-                        };
-                        ordered.sort_by_key(|e| {
-                            (
-                                e.cardinality(),
-                                composition_assignment_value(&space, e.assignment()),
-                            )
-                        });
-                        table_span.attr_u64("variants", stats.evaluated);
-                        (ordered, stats)
-                    } else {
-                        let outcome = composition::search_recorded(
-                            &space,
-                            &model,
-                            Objective::MinTco,
-                            rec,
-                            &trace_span,
-                        );
-                        let best = outcome.best().cloned().ok_or(BrokerError::NoCandidates)?;
-                        (vec![best], outcome.stats())
-                    }
-                }
-                SearchEngine::BranchBound => {
-                    let outcome = composition_bnb::search_with_threads_recorded(
-                        &space,
-                        &model,
-                        0,
-                        rec,
-                        &trace_span,
-                    );
-                    let best = outcome.best().cloned().ok_or(BrokerError::NoCandidates)?;
-                    (vec![best], outcome.stats())
-                }
-            };
-
-            let mut options = Vec::with_capacity(ordered.len());
-            let mut best_index = 0;
-            let mut min_risk_index: Option<usize> = None;
-            for (i, e) in ordered.iter().enumerate() {
-                let meets = model.sla().is_met_by(e.uptime().availability());
-                let ids = e
-                    .assignment()
-                    .iter()
-                    .zip(&method_ids)
-                    .map(|(&idx, leaf)| leaf[idx].clone())
-                    .collect();
-                let labels = e
-                    .assignment()
-                    .iter()
-                    .zip(space.leaves())
-                    .map(|(&idx, leaf)| leaf.candidates()[idx].label().to_owned())
-                    .collect();
-                let tier_costs = e
-                    .assignment()
-                    .iter()
-                    .zip(space.leaves())
-                    .map(|(&idx, leaf)| leaf.candidates()[idx].monthly_cost())
-                    .collect();
-                options.push(RankedOption::new(
-                    i + 1,
-                    labels,
-                    ids,
-                    tier_costs,
-                    (*e).clone(),
-                    meets,
-                ));
-
-                if e.tco().total() < ordered[best_index].tco().total() {
-                    best_index = i;
-                }
-                if meets {
-                    let better = match min_risk_index {
-                        Some(j) => e.tco().total() < ordered[j].tco().total(),
-                        None => true,
-                    };
-                    if better {
-                        min_risk_index = Some(i);
-                    }
-                }
+        let outcome = match self.engine {
+            SearchEngine::Exhaustive if space.assignment_count() <= TABLE_CAP => {
+                let outcome = {
+                    let _span = uptime_obs::span!(rec, "optimizer.exhaustive.search");
+                    let mut table_span = trace_span.child("optimizer.exhaustive.search");
+                    let outcome = exhaustive::composition_search(space, model, Objective::MinTco);
+                    rec.counter_add("optimizer.exhaustive.variants", outcome.stats().evaluated);
+                    table_span.attr_u64("variants", outcome.stats().evaluated);
+                    outcome
+                };
+                let stats = outcome.stats();
+                let mut ordered = outcome.into_evaluations();
+                ordered.sort_by_key(|e| (e.cardinality(), assignment_value(space, e.assignment())));
+                return Ok((ordered, stats));
             }
-
-            cloud_recs.push(CloudRecommendation::new(
-                cloud,
-                options,
-                best_index,
-                min_risk_index,
-                None,
-                stats,
-            ));
+            SearchEngine::Exhaustive => {
+                composition::search_recorded(space, model, Objective::MinTco, rec, trace_span)
+            }
+            SearchEngine::BranchBound => {
+                composition_bnb::search_with_threads_recorded(space, model, 0, rec, trace_span)
+            }
+        };
+        let mut ordered = vec![outcome.best().ok_or(BrokerError::NoCandidates)?.clone()];
+        if let Some(assignment) = as_is {
+            if assignment != ordered[0].assignment() {
+                ordered.push(CompositionEvaluator::new(space, model).evaluate(assignment));
+            }
         }
-        drop(catalog);
-        Ok(self.finish_recommendation(cloud_recs))
+        Ok((ordered, outcome.stats()))
     }
 
     /// Answers a declarative SLO request with the exact feasible
@@ -1096,96 +955,31 @@ impl BrokerService {
         let clouds = resolve_clouds(&catalog, request.base())?;
         let model = request.base().tco_model();
 
+        let archetype = request_archetype(request.base())?;
         let mut cloud_fronts = Vec::with_capacity(clouds.len());
         for cloud in clouds {
-            let frontier = if let Some(topology) = request.base().topology() {
-                let archetype: Archetype = topology.parse().map_err(
-                    |err: uptime_optimizer::archetypes::UnknownArchetype| {
-                        BrokerError::InvalidRequest {
-                            reason: err.to_string(),
-                        }
-                    },
-                )?;
-                let space = archetype.space(&catalog, &cloud)?;
-                let method_ids = leaf_method_ids(&catalog, &space);
-                let outcome = match self.engine {
-                    SearchEngine::Exhaustive => pareto_bnb::composition_sweep_recorded(
-                        &space,
-                        &model,
-                        &constraints,
-                        epsilon,
-                        rec,
-                        &trace_span,
-                    ),
-                    SearchEngine::BranchBound => {
-                        pareto_bnb::composition_search_with_threads_recorded(
-                            &space,
-                            &model,
-                            &constraints,
-                            epsilon,
-                            0,
-                            rec,
-                            &trace_span,
-                        )
-                    }
-                };
-                let points = frontier_points(&outcome, request, |assignment| {
-                    assignment
-                        .iter()
-                        .zip(space.leaves())
-                        .zip(&method_ids)
-                        .map(|((&idx, leaf), ids)| {
-                            (leaf.candidates()[idx].label().to_owned(), ids[idx].clone())
-                        })
-                        .collect()
-                });
-                CloudFrontier::new(cloud, points, *outcome.stats())
-            } else {
-                let space = SearchSpace::from_catalog(&catalog, &cloud, request.base().tiers())?;
-                let method_ids: Vec<Vec<HaMethodId>> = request
-                    .base()
-                    .tiers()
-                    .iter()
-                    .map(|kind| {
-                        catalog
-                            .methods_for(*kind)
-                            .iter()
-                            .map(|m| m.id().clone())
-                            .collect()
-                    })
-                    .collect();
-                let outcome = match self.engine {
-                    SearchEngine::Exhaustive => pareto_bnb::sweep_recorded(
-                        &space,
-                        &model,
-                        &constraints,
-                        epsilon,
-                        rec,
-                        &trace_span,
-                    ),
-                    SearchEngine::BranchBound => pareto_bnb::search_with_threads_recorded(
-                        &space,
-                        &model,
-                        &constraints,
-                        epsilon,
-                        0,
-                        rec,
-                        &trace_span,
-                    ),
-                };
-                let points = frontier_points(&outcome, request, |assignment| {
-                    assignment
-                        .iter()
-                        .zip(space.components())
-                        .zip(&method_ids)
-                        .map(|((&idx, comp), ids)| {
-                            (comp.candidates()[idx].label().to_owned(), ids[idx].clone())
-                        })
-                        .collect()
-                });
-                CloudFrontier::new(cloud, points, *outcome.stats())
+            let (space, method_ids) = cloud_space(&catalog, &cloud, request.base(), archetype)?;
+            let outcome = match self.engine {
+                SearchEngine::Exhaustive => pareto_bnb::composition_sweep_recorded(
+                    &space,
+                    &model,
+                    &constraints,
+                    epsilon,
+                    rec,
+                    &trace_span,
+                ),
+                SearchEngine::BranchBound => pareto_bnb::composition_search_with_threads_recorded(
+                    &space,
+                    &model,
+                    &constraints,
+                    epsilon,
+                    0,
+                    rec,
+                    &trace_span,
+                ),
             };
-            cloud_fronts.push(frontier);
+            let points = frontier_points(&outcome, request, &space, &method_ids);
+            cloud_fronts.push(CloudFrontier::new(cloud, points, *outcome.stats()));
         }
         drop(catalog);
 
@@ -1607,29 +1401,80 @@ fn durability_err(e: std::io::Error) -> BrokerError {
     }
 }
 
-/// Mixed-radix value of an assignment (last component least significant),
+/// Mixed-radix value of an assignment (last leaf least significant),
 /// reproducing the paper's option numbering within a cardinality level.
-fn assignment_value(space: &SearchSpace, assignment: &[usize]) -> u128 {
-    let mut value: u128 = 0;
-    for (idx, comp) in assignment.iter().zip(space.components()) {
-        value = value * comp.len() as u128 + *idx as u128;
-    }
-    value
-}
-
-/// Largest archetype space the exhaustive engine still ranks in full;
-/// beyond it, the option table is trimmed to the streamed winner. The six
-/// survey shapes top out at 512 assignments, well under this.
-const ARCHETYPE_TABLE_CAP: u128 = 4096;
-
-/// Paper-style tie order for composition assignments: the mixed-radix
-/// value over the space's leaves, mirroring [`assignment_value`].
-fn composition_assignment_value(space: &CompositionSpace, assignment: &[usize]) -> u128 {
+fn assignment_value(space: &CompositionSpace, assignment: &[usize]) -> u128 {
     let mut value: u128 = 0;
     for (idx, leaf) in assignment.iter().zip(space.leaves()) {
         value = value * leaf.len() as u128 + *idx as u128;
     }
     value
+}
+
+/// Largest space the exhaustive engine still ranks in full; beyond it,
+/// the option table is trimmed to the streamed winner (plus the declared
+/// as-is option). The paper's chain has 8 assignments and the six survey
+/// archetypes top out at 512, well under this.
+const TABLE_CAP: u128 = 4096;
+
+/// The request's deployment archetype, if it names a `topology`.
+fn request_archetype(request: &SolutionRequest) -> Result<Option<Archetype>, BrokerError> {
+    request
+        .topology()
+        .map(|topology| {
+            topology
+                .parse()
+                .map_err(|err: uptime_optimizer::archetypes::UnknownArchetype| {
+                    BrokerError::InvalidRequest {
+                        reason: err.to_string(),
+                    }
+                })
+        })
+        .transpose()
+}
+
+/// The space one cloud is searched over, with the catalog method id of
+/// every leaf's candidates: the archetype's series–parallel space, or the
+/// request's tiers as the paper's pure-series chain.
+fn cloud_space(
+    catalog: &CatalogStore,
+    cloud: &CloudId,
+    request: &SolutionRequest,
+    archetype: Option<Archetype>,
+) -> Result<(CompositionSpace, Vec<Vec<HaMethodId>>), BrokerError> {
+    if let Some(archetype) = archetype {
+        let space = archetype.space(catalog, cloud)?;
+        let method_ids = leaf_method_ids(catalog, &space);
+        return Ok((space, method_ids));
+    }
+    let space = SearchSpace::from_catalog(catalog, cloud, request.tiers())?;
+    // Method ids per tier, in the same order the space was built.
+    let method_ids = request
+        .tiers()
+        .iter()
+        .map(|kind| {
+            catalog
+                .methods_for(*kind)
+                .iter()
+                .map(|m| m.id().clone())
+                .collect()
+        })
+        .collect();
+    Ok((CompositionSpace::from_serial(&space), method_ids))
+}
+
+/// Every leaf's chosen candidate under `assignment`, with its catalog
+/// method id — what an option row and a frontier point show.
+fn chosen<'a>(
+    space: &'a CompositionSpace,
+    method_ids: &'a [Vec<HaMethodId>],
+    assignment: &'a [usize],
+) -> impl Iterator<Item = (&'a Candidate, &'a HaMethodId)> + 'a {
+    assignment
+        .iter()
+        .zip(space.leaves())
+        .zip(method_ids)
+        .map(|((&idx, leaf), ids)| (&leaf.candidates()[idx], &ids[idx]))
 }
 
 /// Per-leaf catalog method ids for an archetype space. Tier leaves follow
@@ -1700,13 +1545,13 @@ fn resolve_as_is(
         .collect()
 }
 
-/// Materializes one cloud's frontier outcome into wire points:
-/// `describe` maps an assignment to its `(label, method id)` per tier or
-/// leaf, and every point is scored against the spec's soft objectives.
+/// Materializes one cloud's frontier outcome into wire points, each
+/// scored against the spec's soft objectives.
 fn frontier_points(
     outcome: &FrontierOutcome,
     request: &FrontierRequest,
-    describe: impl Fn(&[usize]) -> Vec<(String, HaMethodId)>,
+    space: &CompositionSpace,
+    method_ids: &[Vec<HaMethodId>],
 ) -> Vec<FrontierPoint> {
     outcome
         .points()
@@ -1721,7 +1566,9 @@ fn frontier_points(
                     .spec()
                     .soft_score(&PointMetrics::new(cost, uptime.value(), failover));
             let (labels, method_ids): (Vec<String>, Vec<HaMethodId>) =
-                describe(p.evaluation().assignment()).into_iter().unzip();
+                chosen(space, method_ids, p.evaluation().assignment())
+                    .map(|(candidate, id)| (candidate.label().to_owned(), id.clone()))
+                    .unzip();
             FrontierPoint::new(
                 i + 1,
                 labels,
@@ -1868,6 +1715,46 @@ mod tests {
             )
             .unwrap();
         assert_eq!(plan.steps().len(), 3);
+    }
+
+    #[test]
+    fn serial_tables_past_the_cap_keep_the_winner_and_as_is() {
+        // 13 Compute tiers: 2^13 = 8,192 variants, past TABLE_CAP, so the
+        // exhaustive engine streams the space and the table keeps only
+        // the winner and the declared as-is option.
+        let tiers = vec![ComponentKind::Compute; 13];
+        let request = SolutionRequest::builder()
+            .tiers(tiers.clone())
+            .sla_percent(98.0)
+            .unwrap()
+            .penalty_per_hour(100.0)
+            .unwrap()
+            .cloud(case_study::cloud_id())
+            .as_is(vec![HaMethodId::new("vmware-ha-3p1"); 13])
+            .build()
+            .unwrap();
+        let rec = service().recommend(&request).unwrap();
+        let cloud = &rec.clouds()[0];
+        assert_eq!(cloud.stats().evaluated, 8192);
+        assert_eq!(cloud.options().len(), 2);
+        assert_eq!(cloud.best().option_number(), 1);
+        assert_eq!(cloud.as_is().unwrap().option_number(), 2);
+        assert_eq!(
+            cloud.as_is().unwrap().method_ids(),
+            vec![HaMethodId::new("vmware-ha-3p1"); 13].as_slice()
+        );
+        // The streamed winner is the bounded search's.
+        let bnb = service()
+            .with_engine(SearchEngine::BranchBound)
+            .recommend(&request)
+            .unwrap();
+        assert_eq!(
+            bnb.clouds()[0].best().evaluation(),
+            cloud.best().evaluation()
+        );
+        // The paper's 8-variant request keeps every row.
+        let paper = service().recommend(&paper_request()).unwrap();
+        assert_eq!(paper.clouds()[0].options().len(), 8);
     }
 
     #[test]

@@ -1,36 +1,55 @@
-//! Series–parallel composition search spaces — the fast-path algebra
-//! generalized from serial chains to availability DAGs.
+//! Series–parallel composition search spaces — the one search kernel.
 //!
 //! The paper optimizes a *serial* chain (Fig. 1): every cluster is a
-//! single point of failure, so Eqs. 2/3 fold per-component terms with one
+//! single point of failure, so Eqs. 2–3 fold per-component terms with one
 //! running product. Real deployments (the Deployment Archetypes survey's
 //! zonal → global ladder) replicate whole stacks *in parallel*:
 //! `uptime_core::composition::Block` already evaluates such diagrams
-//! analytically, but nothing could search over them. This module lifts
-//! [`crate::fast`]'s factorization to series–parallel topologies:
+//! analytically, and this module searches over them. The paper's chain is
+//! the pure-series case ([`CompositionSpace::from_serial`]); every exact
+//! engine in the crate runs on this one kernel.
 //!
 //! * a [`CompositionSpace`] attaches a per-leaf candidate set
 //!   ([`crate::space::ComponentChoices`]) to every cluster position of a
 //!   series–parallel shape;
-//! * a [`CompositionEvaluator`] caches the same per-candidate
-//!   `(a, φ, x, C_HA, baseline)` scalars as [`crate::fast::FastEvaluator`]
-//!   and folds them bottom-up through the topology;
+//! * a [`CompositionEvaluator`] caches every candidate's
+//!   `(a, φ, x, C_HA, baseline)` scalars once and folds them bottom-up
+//!   through the topology;
 //! * a [`CompositionCursor`] walks assignments in odometer order with
-//!   per-leaf fold-state snapshots, so advancing costs `O(1)` amortized
-//!   exactly like the serial cursor.
+//!   per-leaf fold-state snapshots, so advancing costs `O(1)` amortized.
 //!
-//! # The fold
+//! # The serial recurrences
+//!
+//! Eqs. 2–3 factor per cluster. Eq. 2: `B_s = 1 − Π_i a_i` where
+//! `a_i = Σ_{j=K−K̂}^{K} C(K,j)(1−P)^j P^{K−j}` depends only on the
+//! candidate chosen for component `i`. Eq. 3: `F_s = Σ_i φ_i Π_{j≠i} x_j`
+//! where `φ_i = f·t·(K−K̂)/δ` and `x_j = (1−P)^{K−K̂}` are likewise
+//! per-candidate constants. Over a prefix `p` the fold keeps
+//!
+//! ```text
+//! V_p = Π_{i<p} a_i        (Eq. 2 running product)
+//! X_p = Π_{i<p} x_i        (Eq. 3 survival prefix)
+//! S_p = Σ_{i<p} φ_i Π_{j<p, j≠i} x_j   via S_{p+1} = S_p·x_p + φ_p·X_p
+//! C_p = Σ_{i<p} C_HA,i     κ_p = #non-baseline choices among i<p
+//! ```
+//!
+//! so each odometer step refreshes only the accumulators right of the
+//! carry position, with no heap allocation in the loop. `B_s` and `C_HA`
+//! come out bit-identical to the naive [`Evaluation::evaluate`]; `F_s`
+//! differs only in floating-point association (≤1e-15).
+//!
+//! # The topology fold
 //!
 //! Leaves are linearized in depth-first order. A leaf whose ancestors are
 //! all `Series` sits on the **spine**: its terms enter the serial
-//! accumulators ([`crate::fast`]'s `V`, `X`, `S`) via the *identical*
-//! `Accum::push` recurrence, so failover blips are charged exactly as
-//! Eq. 3 charges them. A leaf under a `Parallel` ancestor is **masked**: a
-//! sibling branch absorbs its blips, so only its breakdown availability
-//! `a` participates, folded through its enclosing Series (product) and
-//! Parallel (co-product of unavailabilities) frames. Each maximal parallel
-//! subtree collapses to one availability factor `mask ← mask · A_subtree`
-//! when it closes. The final artifacts are
+//! accumulators above via the one `Accum::push` recurrence, so failover
+//! blips are charged exactly as Eq. 3 charges them. A leaf under a
+//! `Parallel` ancestor is **masked**: a sibling branch absorbs its blips,
+//! so only its breakdown availability `a` participates, folded through its
+//! enclosing Series (product) and Parallel (co-product of
+//! unavailabilities) frames. Each maximal parallel subtree collapses to
+//! one availability factor `mask ← mask · A_subtree` when it closes. The
+//! final artifacts are
 //!
 //! ```text
 //! B = 1 − V·mask        F = S·mask        C = C_spine + C_masked
@@ -38,18 +57,24 @@
 //!
 //! matching [`uptime_core::composition::Block::failover_aware_availability`]
 //! (spine uptime × parallel breakdown factors). On a pure-series topology
-//! `mask = 1.0` and the extra cost term is `0.0`, so every artifact is
-//! **bit-identical** to [`crate::fast`] — the serial engines fall out as a
-//! special case, which `crates/optimizer/tests/composition_differential.rs`
-//! pins across seeds and thread counts.
+//! `mask = 1.0` and the extra cost term is `0.0`, so every artifact is the
+//! serial fold's, bit for bit.
+//!
+//! # The spine step
+//!
+//! A spine leaf with no structural op before the next leaf (every leaf of
+//! a pure-series space, and the spine runs of the archetypes) changes only
+//! the serial accumulators. The cursor and the branch-and-bound descent
+//! take that step as one `Accum::push`, without copying the frame stack,
+//! so pure-series search runs at serial speed with no second engine —
+//! decided per leaf from the space's own shape.
 
 use std::fmt;
 
 use uptime_core::composition::Block;
-use uptime_core::TcoModel;
+use uptime_core::{MoneyPerMonth, Probability, TcoBreakdown, TcoModel, UptimeBreakdown};
 
 use crate::evaluate::Evaluation;
-use crate::fast::{finish, Accum, CandidateTerms};
 use crate::objective::{Objective, RankKey};
 use crate::outcome::{SearchOutcome, SearchStats};
 use crate::space::{ComponentChoices, SearchSpace, SpaceError};
@@ -139,6 +164,9 @@ pub struct CompositionSpace {
     segs: Vec<Vec<StructOp>>,
     /// Whether each leaf sits on the unguarded serial spine.
     spine_leaf: Vec<bool>,
+    /// Whether each leaf is a spine step: on the spine, with no
+    /// structural op before the next leaf.
+    spine_step: Vec<bool>,
     /// Leaf ranges `[lo, hi)` of the *maximal* parallel subtrees (parallel
     /// nodes whose ancestors are all series), in order.
     par_ranges: Vec<(usize, usize)>,
@@ -160,18 +188,24 @@ impl CompositionSpace {
         let mut lin = Linearizer::new(leaves.len());
         lin.emit(&shape, false);
         lin.close();
+        let spine_step = lin
+            .spine_leaf
+            .iter()
+            .zip(&lin.segs[1..])
+            .map(|(&spine, after)| spine && after.is_empty())
+            .collect();
         Ok(CompositionSpace {
             leaves,
             shape,
             segs: lin.segs,
             spine_leaf: lin.spine_leaf,
+            spine_step,
             par_ranges: lin.par_ranges,
         })
     }
 
     /// The pure-series space equivalent to a serial [`SearchSpace`] — the
-    /// shape on which composition search is bit-identical to the serial
-    /// engines.
+    /// paper's chain, searched by the same kernel as every archetype.
     ///
     /// # Panics
     ///
@@ -286,6 +320,11 @@ impl CompositionSpace {
     /// Whether leaf `p` sits on the serial spine.
     pub(crate) fn spine_leaf(&self) -> &[bool] {
         &self.spine_leaf
+    }
+
+    /// Whether leaf `p` is a spine step (see the module docs).
+    pub(crate) fn spine_step(&self) -> &[bool] {
+        &self.spine_step
     }
 
     /// Maximal parallel subtree availability, per subtree `(lo, value)`,
@@ -478,6 +517,79 @@ impl Linearizer {
     }
 }
 
+/// The cached per-candidate factors of Eqs. 2–3 and Eq. 5.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CandidateTerms {
+    /// `a_i`: binomial survival `Σ_j C(K,j)(1−P)^j P^{K−j}` (Eq. 2 factor).
+    pub(crate) availability: f64,
+    /// `φ_i = f·t·(K−K̂)/δ`: failover year fraction (Eq. 3 numerator).
+    pub(crate) failover_fraction: f64,
+    /// `x_i = (1−P)^{K−K̂}`: all-active-up survival (Eq. 3 factor).
+    pub(crate) active_up: f64,
+    /// Monthly `C_HA` contribution (Eq. 5 term).
+    pub(crate) cost: f64,
+    /// Whether this is the component's "no HA" baseline.
+    pub(crate) baseline: bool,
+}
+
+/// Serial accumulators after consuming a prefix of spine leaves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Accum {
+    /// `V_p = Π a_i` over the prefix.
+    pub(crate) avail: f64,
+    /// `X_p = Π x_i` over the prefix.
+    pub(crate) active: f64,
+    /// `S_p = Σ φ_i Π_{j≠i} x_j` over the prefix.
+    pub(crate) failover: f64,
+    /// `C_p = Σ C_HA,i` over the prefix.
+    pub(crate) cost: f64,
+    /// `κ_p`: non-baseline choices in the prefix.
+    pub(crate) cardinality: usize,
+}
+
+impl Accum {
+    pub(crate) const IDENTITY: Accum = Accum {
+        avail: 1.0,
+        active: 1.0,
+        failover: 0.0,
+        cost: 0.0,
+        cardinality: 0,
+    };
+
+    /// Extends the prefix by one chosen candidate. This is the *only*
+    /// place the recurrences live, so the cursor, the bounded walks, and
+    /// every shard combine terms in bit-identical order.
+    #[inline]
+    pub(crate) fn push(self, t: &CandidateTerms) -> Accum {
+        Accum {
+            avail: self.avail * t.availability,
+            active: self.active * t.active_up,
+            // Old-prefix `active` on purpose: φ_p multiplies the survival
+            // of the *other* clusters seen so far.
+            failover: self.failover * t.active_up + t.failover_fraction * self.active,
+            cost: self.cost + t.cost,
+            cardinality: self.cardinality + usize::from(!t.baseline),
+        }
+    }
+}
+
+/// Turns final accumulators into the same artifacts the naive path builds.
+pub(crate) fn finish(model: &TcoModel, acc: &Accum) -> (UptimeBreakdown, TcoBreakdown, RankKey) {
+    let breakdown = Probability::saturating(1.0 - acc.avail);
+    let failover = Probability::saturating(acc.failover);
+    let uptime = UptimeBreakdown::from_components(breakdown, failover);
+    let ha_cost =
+        MoneyPerMonth::new(acc.cost).expect("candidate costs are finite and non-negative");
+    let tco = model.evaluate(ha_cost, uptime.availability());
+    let key = RankKey {
+        total: tco.total(),
+        expects_penalty: tco.expects_penalty(),
+        cardinality: acc.cardinality,
+        availability: uptime.availability(),
+    };
+    (uptime, tco, key)
+}
+
 /// One open composite frame during a fold.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
@@ -485,6 +597,35 @@ enum Frame {
     Series { avail: f64 },
     /// Product of child *unavailabilities* seen so far.
     Parallel { miss: f64 },
+}
+
+/// The part of a fold state a spine step leaves unchanged — what a walk
+/// keeps in registers while it steps a spine leaf's candidates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Masked {
+    /// Product of completed maximal parallel subtrees' availabilities.
+    pub(crate) mask: f64,
+    /// Cost contributed by masked (non-spine) leaves.
+    pub(crate) extra_cost: f64,
+    /// Non-baseline choices among masked leaves.
+    pub(crate) extra_card: usize,
+}
+
+impl Masked {
+    /// Combines spine accumulators with the masked part into the serial
+    /// accumulator shape [`finish`] consumes: `B = 1 − V·mask`,
+    /// `F = S·mask`. With `mask = 1.0` and no masked leaves every field is
+    /// bit-identical to the serial fold.
+    #[inline]
+    pub(crate) fn combine(self, spine: &Accum) -> Accum {
+        Accum {
+            avail: spine.avail * self.mask,
+            active: spine.active,
+            failover: spine.failover * self.mask,
+            cost: spine.cost + self.extra_cost,
+            cardinality: spine.cardinality + self.extra_card,
+        }
+    }
 }
 
 /// Fold state after consuming a prefix of the linearized topology: the
@@ -569,25 +710,62 @@ impl FoldState {
         }
     }
 
-    /// Collapses the state into the serial accumulator shape
-    /// [`crate::fast::finish`] consumes: `B = 1 − V·mask`, `F = S·mask`.
-    /// With `mask = 1.0` and no masked leaves every field is bit-identical
-    /// to the serial fold.
+    /// Collapses the state into the serial accumulator shape [`finish`]
+    /// consumes (see [`Masked::combine`]).
     #[inline]
     pub(crate) fn combined(&self) -> Accum {
-        Accum {
-            avail: self.spine.avail * self.mask,
-            active: self.spine.active,
-            failover: self.spine.failover * self.mask,
-            cost: self.spine.cost + self.extra_cost,
-            cardinality: self.spine.cardinality + self.extra_card,
+        self.masked().combine(&self.spine)
+    }
+
+    /// Everything but the spine accumulators and the open frames.
+    #[inline]
+    pub(crate) fn masked(&self) -> Masked {
+        Masked {
+            mask: self.mask,
+            extra_cost: self.extra_cost,
+            extra_card: self.extra_card,
         }
+    }
+
+    /// Writes `prev` advanced by a spine step whose serial accumulators
+    /// are `spine`: nothing but the spine moves, and no frame is open.
+    #[inline]
+    pub(crate) fn set_spine_step(&mut self, prev: &FoldState, spine: Accum) {
+        debug_assert!(prev.stack.is_empty(), "spine leaves have no open frame");
+        self.spine = spine;
+        self.mask = prev.mask;
+        self.extra_cost = prev.extra_cost;
+        self.extra_card = prev.extra_card;
+        self.stack.clear();
     }
 }
 
 /// A composition space with every candidate's Eq. 2/3/5 factors
-/// precomputed — the topology-aware counterpart of
-/// [`crate::fast::FastEvaluator`].
+/// precomputed.
+///
+/// Construction is `O(Σ k_i · K)` (one binomial sum per candidate); every
+/// evaluation afterwards combines cached scalars.
+///
+/// # Examples
+///
+/// ```
+/// use uptime_catalog::{case_study, ComponentKind};
+/// use uptime_optimizer::{CompositionEvaluator, CompositionSpace, Evaluation, SearchSpace};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let serial = SearchSpace::from_catalog(
+///     &case_study::catalog(),
+///     &case_study::cloud_id(),
+///     &ComponentKind::paper_tiers(),
+/// )?;
+/// let space = CompositionSpace::from_serial(&serial);
+/// let model = case_study::tco_model();
+/// let folded = CompositionEvaluator::new(&space, &model).evaluate(&[0, 1, 0]);
+/// let naive = Evaluation::evaluate(&serial, &model, &[0, 1, 0]);
+/// assert_eq!(folded.tco().total(), naive.tco().total());
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct CompositionEvaluator<'a> {
     space: &'a CompositionSpace,
@@ -660,17 +838,24 @@ impl<'a> CompositionEvaluator<'a> {
     /// # Panics
     ///
     /// Panics if `states` is shorter than `i + 2`.
+    #[inline]
     pub(crate) fn step_into(&self, states: &mut [FoldState], i: usize, digit: usize) {
         let (head, tail) = states.split_at_mut(i + 1);
-        let next = &mut tail[0];
-        next.copy_from(&head[i]);
-        next.apply_leaf(&self.terms[i][digit]);
+        let (prev, next) = (&head[i], &mut tail[0]);
+        let t = &self.terms[i][digit];
+        if self.space.spine_step[i] {
+            next.set_spine_step(prev, prev.spine.push(t));
+            return;
+        }
+        next.copy_from(prev);
+        next.apply_leaf(t);
         for op in &self.space.segs[i + 1] {
             next.apply_struct(*op);
         }
     }
 
-    fn fold(&self, assignment: &[usize]) -> FoldState {
+    /// The fold state of a complete assignment, from scratch.
+    pub(crate) fn fold(&self, assignment: &[usize]) -> FoldState {
         assert_eq!(
             assignment.len(),
             self.terms.len(),
@@ -686,9 +871,10 @@ impl<'a> CompositionEvaluator<'a> {
         state
     }
 
-    /// Evaluates one assignment from cached terms — semantically the
-    /// topology fold of `B`, `F`, cost, then the same Eq. 5 finish the
-    /// serial engines use.
+    /// Evaluates one assignment from cached terms — the topology fold of
+    /// `B`, `F` and cost, then Eq. 5 — semantically identical to the naive
+    /// [`Evaluation::evaluate`] (pure series) or a `Block` sweep, with no
+    /// cluster clones.
     ///
     /// # Panics
     ///
@@ -748,8 +934,8 @@ impl<'a> CompositionEvaluator<'a> {
 
 /// An odometer over a composition space's assignments with
 /// incrementally-maintained fold-state snapshots per leaf position —
-/// advancing replays only the suffix right of the carry, exactly like
-/// [`crate::fast::FastCursor`].
+/// advancing replays only the suffix right of the carry. Advancing and
+/// measuring allocate nothing.
 #[derive(Debug)]
 pub struct CompositionCursor<'e, 'a> {
     eval: &'e CompositionEvaluator<'a>,
@@ -770,7 +956,19 @@ impl CompositionCursor<'_, '_> {
 
     /// Recomputes `states[p+1..]` after digits `p..` changed.
     fn refresh_from(&mut self, p: usize) {
-        for i in p..self.digits.len() {
+        // Until the first structural step of a refresh, every spine step's
+        // target already holds the right mask, masked cost and (empty)
+        // frame stack: nothing left of `p` changed and the topology is
+        // fixed. Those steps push the serial accumulators alone — every
+        // step of a pure-series space.
+        let spine_step = self.eval.space.spine_step();
+        let mut i = p;
+        while i < self.digits.len() && spine_step[i] {
+            let t = &self.eval.terms[i][self.digits[i]];
+            self.states[i + 1].spine = self.states[i].spine.push(t);
+            i += 1;
+        }
+        for i in i..self.digits.len() {
             self.eval.step_into(&mut self.states, i, self.digits[i]);
         }
     }
@@ -812,7 +1010,9 @@ impl CompositionCursor<'_, '_> {
         finish(self.eval.model, &acc).2
     }
 
-    /// Materializes the current assignment as a full [`Evaluation`].
+    /// Materializes the current assignment as a full [`Evaluation`]
+    /// (allocates the assignment vector; used by the paths that must
+    /// report every option).
     #[must_use]
     pub fn evaluation(&self) -> Evaluation {
         let acc = self.states[self.digits.len()].combined();
@@ -853,9 +1053,32 @@ impl Iterator for CompositionAssignments<'_> {
 }
 
 /// Streams every assignment through one incremental cursor, keeping only
-/// the running argmin — the topology-aware counterpart of
-/// [`crate::fast::search`]. On pure-series spaces the winner is
-/// bit-identical to the serial streaming search.
+/// the running optimum — the `O(1)`-amortized-per-variant exact search.
+///
+/// The returned outcome's `evaluations()` holds just the winner (streaming
+/// cannot afford to materialize `k^n` reports); `stats().evaluated` still
+/// counts the full space. Visit order is lexicographic, so ties resolve
+/// exactly as [`crate::exhaustive::search`] resolves them.
+///
+/// # Examples
+///
+/// ```
+/// use uptime_catalog::{case_study, ComponentKind};
+/// use uptime_optimizer::{composition, CompositionSpace, Objective, SearchSpace};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let serial = SearchSpace::from_catalog(
+///     &case_study::catalog(),
+///     &case_study::cloud_id(),
+///     &ComponentKind::paper_tiers(),
+/// )?;
+/// let space = CompositionSpace::from_serial(&serial);
+/// let outcome = composition::search(&space, &case_study::tco_model(), Objective::MinTco);
+/// assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
+/// assert_eq!(outcome.stats().evaluated, 8);
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
 pub fn search(space: &CompositionSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
     let eval = CompositionEvaluator::new(space, model);
@@ -914,9 +1137,8 @@ pub fn search_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast;
     use crate::space::Candidate;
-    use uptime_catalog::{case_study, ComponentKind};
+    use uptime_catalog::{case_study, extended, ComponentKind};
     use uptime_core::{ClusterSpec, MoneyPerMonth, Probability};
 
     fn paper_space() -> SearchSpace {
@@ -993,6 +1215,7 @@ mod tests {
         assert_eq!(space.leaf_count(), 3);
         assert_eq!(space.assignment_count(), 8);
         assert_eq!(space.spine_leaf(), &[true, true, true]);
+        assert_eq!(space.spine_step(), &[true, true, true]);
     }
 
     #[test]
@@ -1002,24 +1225,158 @@ mod tests {
         assert_eq!(space.leaf_count(), 5);
         assert_eq!(space.assignment_count(), 32);
         assert_eq!(space.spine_leaf(), &[true, false, false, false, false]);
+        assert_eq!(space.spine_step(), &[false; 5]);
         assert_eq!(space.par_ranges, vec![(1, 5)]);
         assert_eq!(space.to_string().matches("parallel").count(), 1);
     }
 
     #[test]
-    fn serial_fold_is_bit_identical_to_fast() {
+    fn serial_fold_matches_naive_on_every_paper_assignment() {
         let serial = paper_space();
         let space = CompositionSpace::from_serial(&serial);
         let model = case_study::tco_model();
-        let fast_eval = fast::FastEvaluator::new(&serial, &model);
-        let comp_eval = CompositionEvaluator::new(&space, &model);
+        let eval = CompositionEvaluator::new(&space, &model);
         for assignment in serial.assignments() {
-            assert_eq!(
-                comp_eval.evaluate(&assignment),
-                fast_eval.evaluate(&assignment),
+            let naive = Evaluation::evaluate(&serial, &model, &assignment);
+            let folded = eval.evaluate(&assignment);
+            assert_eq!(folded.assignment(), naive.assignment());
+            assert_eq!(folded.cardinality(), naive.cardinality());
+            assert_eq!(folded.tco().total(), naive.tco().total(), "{assignment:?}");
+            assert!(
+                (folded.uptime().availability().value() - naive.uptime().availability().value())
+                    .abs()
+                    < 1e-14,
                 "{assignment:?}"
             );
         }
+    }
+
+    #[test]
+    fn serial_cursor_walks_lexicographically() {
+        let serial = paper_space();
+        let space = CompositionSpace::from_serial(&serial);
+        let model = case_study::tco_model();
+        let eval = CompositionEvaluator::new(&space, &model);
+        let mut cursor = eval.cursor();
+        let mut visited = vec![cursor.assignment().to_vec()];
+        while cursor.advance() {
+            visited.push(cursor.assignment().to_vec());
+        }
+        let expected: Vec<_> = serial.assignments().collect();
+        assert_eq!(visited, expected);
+        // Exhausted cursors stay exhausted.
+        assert!(!cursor.advance());
+    }
+
+    #[test]
+    fn serial_cursor_at_matches_incremental_walk() {
+        let serial = SearchSpace::from_catalog(
+            &extended::hybrid_catalog(),
+            &extended::nimbus_id(),
+            &ComponentKind::paper_tiers(),
+        )
+        .unwrap();
+        let space = CompositionSpace::from_serial(&serial);
+        let model = case_study::tco_model();
+        let eval = CompositionEvaluator::new(&space, &model);
+        let mut cursor = eval.cursor();
+        let mut index = 0u128;
+        loop {
+            let seeded = eval.cursor_at(index);
+            assert_eq!(seeded.assignment(), cursor.assignment());
+            // Bit-identical accumulators regardless of how the state was
+            // reached (incremental vs from-scratch).
+            assert_eq!(seeded.evaluation(), cursor.evaluation());
+            index += 1;
+            if !cursor.advance() {
+                break;
+            }
+        }
+        assert_eq!(index, space.assignment_count());
+    }
+
+    #[test]
+    fn spine_steps_around_a_parallel_block_match_the_fold() {
+        // Spine steps before and after a parallel block: `a` steps into
+        // `gw` (a spine step), `gw` opens the block (not one), and `tail`
+        // closes the topology (a spine step again).
+        let space = CompositionSpace::new(CompositionNode::Series(vec![
+            CompositionNode::Component(component("a", &[0.03, 0.003], &[0.0, 40.0])),
+            CompositionNode::Component(component("gw", &[0.01, 0.001], &[0.0, 60.0])),
+            CompositionNode::Parallel(vec![
+                CompositionNode::Component(component("x", &[0.02, 0.002], &[0.0, 80.0])),
+                CompositionNode::Component(component("y", &[0.05, 0.004], &[0.0, 120.0])),
+            ]),
+            CompositionNode::Component(component("tail", &[0.04, 0.001], &[0.0, 90.0])),
+        ]))
+        .unwrap();
+        assert_eq!(space.spine_step(), &[true, false, false, false, true]);
+        let model = case_study::tco_model();
+        let eval = CompositionEvaluator::new(&space, &model);
+        let mut cursor = eval.cursor();
+        loop {
+            let assignment = cursor.assignment().to_vec();
+            assert_eq!(cursor.evaluation(), eval.evaluate(&assignment));
+            let direct = space
+                .to_block(&assignment)
+                .failover_aware_availability()
+                .value();
+            let folded = cursor.evaluation().uptime().availability().value();
+            assert!((direct - folded).abs() < 1e-12, "{assignment:?}");
+            if !cursor.advance() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn serial_search_finds_paper_optima() {
+        let space = CompositionSpace::from_serial(&paper_space());
+        let model = case_study::tco_model();
+        let outcome = search(&space, &model, Objective::MinTco);
+        assert_eq!(outcome.best().unwrap().assignment(), &[0, 1, 0]);
+        assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
+        assert_eq!(outcome.stats().evaluated, 8);
+        assert_eq!(
+            outcome.evaluations().len(),
+            1,
+            "streaming keeps the winner only"
+        );
+        let risk = search(&space, &model, Objective::MinPenaltyRisk);
+        assert_eq!(risk.best().unwrap().tco().total().value(), 1350.0);
+    }
+
+    #[test]
+    fn recorded_search_is_bit_identical_and_counts() {
+        let space = CompositionSpace::from_serial(&paper_space());
+        let model = case_study::tco_model();
+        let registry = uptime_obs::MetricsRegistry::new();
+        let plain = search(&space, &model, Objective::MinTco);
+        let recorded = search_recorded(
+            &space,
+            &model,
+            Objective::MinTco,
+            &registry,
+            &uptime_obs::TraceSpan::disabled(),
+        );
+        assert_eq!(plain, recorded, "instrumentation must not change results");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("optimizer.composition.variants"), Some(8));
+        assert_eq!(snap.counter("optimizer.composition.search.calls"), Some(1));
+        assert_eq!(
+            snap.histogram("optimizer.composition.search.ns")
+                .unwrap()
+                .count,
+            1
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment arity")]
+    fn wrong_arity_panics() {
+        let space = CompositionSpace::from_serial(&paper_space());
+        let model = case_study::tco_model();
+        let _ = CompositionEvaluator::new(&space, &model).evaluate(&[0, 0]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Branch-and-bound over series–parallel composition spaces — the
-//! [`crate::branch_bound`] engine lifted to the topology fold.
+//! Tight-bound, work-stealing parallel branch-and-bound — exact `MinTco`
+//! over spaces enumeration cannot touch, serial chains and series–parallel
+//! topologies alike.
 //!
 //! # The bound
 //!
@@ -25,37 +26,86 @@
 //! TCO(c) ≥ C_p + minC_p + penalty_lb(U_ub)
 //! ```
 //!
-//! with the same rounding-conservative `penalty_lb` as the serial bound
-//! (see DESIGN.md §14 for the derivation). On a pure-series space
-//! `M_p = parMaxA_p = 1.0` and `spineMaxA_p` is the serial suffix product,
-//! so the bound — and therefore the winner — degenerates bit-identically
-//! to [`crate::branch_bound`].
+//! because Eq. 3's failover term only subtracts uptime and the Eq. 5
+//! penalty is monotone non-increasing in uptime. `penalty_lb` charges the
+//! clause for the *unrounded* slippage hours (minus half an hour under
+//! nearest-hour billing), so billing round-up can only increase the true
+//! penalty above the bound — see DESIGN.md §14 for the derivation, which
+//! mirrors the §III.C exactness argument in [`crate::pruned`]. On a
+//! pure-series space `M_p = parMaxA_p = 1.0` and `spineMaxA_p` is the
+//! serial suffix product `maxA_p = Π_{i≥p} max_j a(i, j)`.
 //!
-//! Exactness and thread-count independence follow exactly as in the
-//! serial engine: strict pruning against an achieved incumbent with a
-//! fixed slack, per-task winners merged in lexicographic prefix order.
+//! # Exactness and determinism
+//!
+//! Pruning is strict — a subtree dies only when its bound exceeds the
+//! incumbent (an *achieved* TCO) by more than a fixed slack — so every
+//! leaf whose TCO ties the optimum survives in every execution, and the
+//! [`crate::objective::RankKey`] tie-breakers (fewer clustered components,
+//! then higher availability, then lexicographic-first) decide among them
+//! exactly as [`crate::composition::search`] decides. Workers steal prefix
+//! tasks from a shared counter and publish improvements to a process-wide
+//! incumbent (`AtomicU64` over the bit pattern of a non-negative `f64`,
+//! which orders like the float), so scheduling affects only *how much* is
+//! pruned, never *what wins*: results are bit-identical across thread
+//! counts. Visit/prune counters, by contrast, are timing-dependent under
+//! parallelism and are reported for observability, not compared for
+//! equality.
+//!
+//! Exact for [`Objective::MinTco`] only; the outcome is streaming (the
+//! evaluation list holds just the winner), so Fig. 10-style full tables
+//! should use [`crate::exhaustive`] or [`crate::pruned`] instead.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::thread;
+use serde::{Deserialize, Serialize};
 use uptime_core::{Probability, RoundingPolicy, TcoModel};
 
-use crate::branch_bound::BnbStats;
-use crate::composition::{CompositionEvaluator, CompositionSpace, FoldState};
-use crate::fast::{self, CandidateTerms};
+use crate::composition::{
+    finish, Accum, CandidateTerms, CompositionEvaluator, CompositionSpace, FoldState, Masked,
+};
 use crate::objective::{Objective, RankKey};
 use crate::outcome::{SearchOutcome, SearchStats};
 
-/// Same slack as the serial engine: absorbs association noise between the
-/// bound's and the leaf's floating-point sums without pruning tie-optimal
-/// leaves.
+/// Absolute slack (dollars) subtracted from every bound before comparing
+/// against the incumbent. The bound and the leaf evaluation associate
+/// floating-point sums differently, so a bound can exceed the true TCO of
+/// its own subtree's optimum by a few ulps; the slack absorbs that noise
+/// (≤ ~1e-10 for realistic magnitudes) without giving up measurable
+/// pruning power. Without it, an ulp-high bound could prune a tie-optimal
+/// leaf and flip a tie-break.
 const BOUND_SLACK: f64 = 1e-6;
 
-/// Prefix tasks per worker, matching the serial engine's stealing grain.
+/// How many prefix tasks to aim for per worker. More tasks → finer work
+/// stealing (better load balance when subtree costs are skewed by
+/// pruning); fewer → less per-task overhead.
 const TASKS_PER_THREAD: usize = 8;
 
-/// Per-leaf suffix aggregates of the composition bound. Shared with
-/// [`crate::pareto_bnb`]'s composition frontier prune.
+/// Branch-and-bound instrumentation beyond [`SearchStats`] — the shape of
+/// the search tree actually walked. Exposed as `optimizer.bnb.*` counters
+/// by [`search_with_threads_recorded`] and serialized into `BENCH_PR5.json`.
+///
+/// Under parallelism these counts depend on incumbent-propagation timing
+/// and are **not** deterministic across runs or thread counts (the argmin
+/// is — see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct BnbStats {
+    /// Worker threads the search ran on.
+    pub threads: u64,
+    /// Prefix tasks pulled from the steal queue.
+    pub tasks: u64,
+    /// Interior tree nodes expanded (bound computed, children considered).
+    pub nodes_visited: u64,
+    /// Complete assignments evaluated at leaves.
+    pub leaves_evaluated: u64,
+    /// Bound cutoffs: subtrees discarded without descending.
+    pub subtrees_pruned: u64,
+    /// Complete assignments inside those discarded subtrees.
+    pub variants_skipped: u64,
+}
+
+/// Per-leaf suffix aggregates of the bound. Shared with
+/// [`crate::pareto_bnb`]'s frontier prune.
 pub(crate) struct Bounds {
     /// `minC_p = Σ_{i≥p} min_j cost(i, j)`; index `n` is 0.
     pub(crate) suffix_min_cost: Vec<f64>,
@@ -108,29 +158,51 @@ impl Bounds {
         }
     }
 
-    /// Admissible lower bound on the TCO of every completion of a prefix
-    /// whose fold state is `state` and whose next unassigned leaf is
-    /// `depth`.
-    fn lower_bound(&self, model: &TcoModel, depth: usize, state: &FoldState) -> f64 {
-        let avail_ub = state.spine.avail
-            * state.mask
-            * self.spine_suffix_max[depth]
-            * self.par_suffix_max[depth];
-        let uptime_ub = Probability::saturating(avail_ub);
-        let raw_hours = model.sla().slippage_hours_per_month(uptime_ub);
+    /// The ideal point of every completion of a prefix whose next
+    /// unassigned leaf is `depth`: its cost floor and its availability
+    /// ceiling. `spine` is the prefix's spine accumulator; `masked` holds
+    /// the rest of its fold (see [`FoldState::masked`]).
+    #[inline(always)]
+    pub(crate) fn ideal(&self, depth: usize, spine: &Accum, masked: Masked) -> (f64, f64) {
+        let par_max = self.par_suffix_max[depth];
+        // On a serial stretch — no masked leaf or parallel subtree before
+        // `depth`, none after it; every depth of a serial chain — the mask
+        // and `parMaxA` are 1.0 and the masked cost is 0.0. Multiplying by
+        // 1.0 and adding 0.0 are exact, so the short form is bit-identical
+        // and keeps two multiplies and an add off the walk's critical path.
+        if masked.mask == 1.0 && masked.extra_cost == 0.0 && par_max == 1.0 {
+            return (
+                spine.cost + self.suffix_min_cost[depth],
+                spine.avail * self.spine_suffix_max[depth],
+            );
+        }
+        let cost_lb = spine.cost + masked.extra_cost + self.suffix_min_cost[depth];
+        let avail_ub = spine.avail * masked.mask * self.spine_suffix_max[depth] * par_max;
+        (cost_lb, avail_ub)
+    }
+
+    /// Admissible lower bound on the TCO of every completion of such a
+    /// prefix (see [`Self::ideal`] for the arguments).
+    #[inline(always)]
+    fn lower_bound(&self, model: &TcoModel, depth: usize, spine: &Accum, masked: Masked) -> f64 {
+        let (cost_lb, avail_ub) = self.ideal(depth, spine, masked);
+        let raw_hours = model
+            .sla()
+            .slippage_hours_per_month(Probability::saturating(avail_ub));
+        // Billing can only round the true raw hours *up* under Exact/Ceil;
+        // NearestHour can shave at most half an hour off.
         let hours_lb = match model.rounding() {
             RoundingPolicy::NearestHour => (raw_hours - 0.5).max(0.0),
             RoundingPolicy::Exact | RoundingPolicy::CeilHour => raw_hours,
         };
-        let penalty_lb = model.penalty().charge(hours_lb).value();
-        state.spine.cost + state.extra_cost + self.suffix_min_cost[depth] + penalty_lb
+        cost_lb + model.penalty().charge(hours_lb).value()
     }
 }
 
 /// The admissible lower bound for a partial assignment, exposed so the
-/// property suite can check `bound(prefix) ≤ TCO(completion)` for every
-/// completion over DAG topologies
-/// (`crates/optimizer/tests/composition_properties.rs`).
+/// property suites can check `bound(prefix) ≤ TCO(completion)` for every
+/// completion, over serial chains (`bnb_properties.rs`) and DAG
+/// topologies (`composition_properties.rs`).
 ///
 /// # Panics
 ///
@@ -146,12 +218,32 @@ pub fn prefix_bound(space: &CompositionSpace, model: &TcoModel, prefix: &[usize]
     for (i, &idx) in prefix.iter().enumerate() {
         eval.step_into(&mut states, i, idx);
     }
-    bounds.lower_bound(model, prefix.len(), &states[prefix.len()])
+    let state = &states[prefix.len()];
+    bounds.lower_bound(model, prefix.len(), &state.spine, state.masked())
 }
 
-/// Single-threaded exact `MinTco` branch-and-bound over a composition
-/// space. On pure-series spaces the winner is bit-identical to
-/// [`crate::branch_bound::search`].
+/// Single-threaded branch-and-bound minimization of total TCO. Exact:
+/// returns the same winner as [`crate::composition::search`] under
+/// [`Objective::MinTco`], visiting (usually far) fewer assignments.
+///
+/// # Examples
+///
+/// ```
+/// use uptime_catalog::{case_study, ComponentKind};
+/// use uptime_optimizer::{composition_bnb, CompositionSpace, SearchSpace};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let serial = SearchSpace::from_catalog(
+///     &case_study::catalog(),
+///     &case_study::cloud_id(),
+///     &ComponentKind::paper_tiers(),
+/// )?;
+/// let space = CompositionSpace::from_serial(&serial);
+/// let outcome = composition_bnb::search(&space, &case_study::tco_model());
+/// assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
 pub fn search(space: &CompositionSpace, model: &TcoModel) -> SearchOutcome {
     search_with_threads(space, model, 1)
@@ -169,9 +261,11 @@ pub fn search_with_threads(
     search_with_stats(space, model, threads).0
 }
 
-/// [`search_with_threads`] with observability: the run wrapped in an
-/// `optimizer.composition_bnb.search` span, the [`BnbStats`] counters
-/// flushed as `optimizer.composition_bnb.*` once at the end. `parent`
+/// [`search_with_threads`] with observability: wraps the run in an
+/// `optimizer.bnb.search` span and flushes the [`BnbStats`] counters
+/// (`optimizer.bnb.{tasks,nodes_visited,leaves_evaluated,subtrees_pruned,`
+/// `variants_skipped}` plus the `optimizer.bnb.threads` gauge) when it
+/// finishes. The descent itself never touches the recorder. `parent`
 /// hangs a matching trace span carrying the same tree-shape counters as
 /// attributes under the caller's request trace; pass
 /// [`uptime_obs::TraceSpan::disabled`] outside a traced request.
@@ -183,27 +277,15 @@ pub fn search_with_threads_recorded(
     rec: &dyn uptime_obs::Recorder,
     parent: &uptime_obs::TraceSpan,
 ) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.composition_bnb.search");
-    let mut trace_span = parent.child("optimizer.composition_bnb.search");
+    let _span = uptime_obs::span!(rec, "optimizer.bnb.search");
+    let mut trace_span = parent.child("optimizer.bnb.search");
     let (outcome, stats) = search_with_stats(space, model, threads);
-    rec.gauge_set("optimizer.composition_bnb.threads", stats.threads as f64);
-    rec.counter_add("optimizer.composition_bnb.tasks", stats.tasks);
-    rec.counter_add(
-        "optimizer.composition_bnb.nodes_visited",
-        stats.nodes_visited,
-    );
-    rec.counter_add(
-        "optimizer.composition_bnb.leaves_evaluated",
-        stats.leaves_evaluated,
-    );
-    rec.counter_add(
-        "optimizer.composition_bnb.subtrees_pruned",
-        stats.subtrees_pruned,
-    );
-    rec.counter_add(
-        "optimizer.composition_bnb.variants_skipped",
-        stats.variants_skipped,
-    );
+    rec.gauge_set("optimizer.bnb.threads", stats.threads as f64);
+    rec.counter_add("optimizer.bnb.tasks", stats.tasks);
+    rec.counter_add("optimizer.bnb.nodes_visited", stats.nodes_visited);
+    rec.counter_add("optimizer.bnb.leaves_evaluated", stats.leaves_evaluated);
+    rec.counter_add("optimizer.bnb.subtrees_pruned", stats.subtrees_pruned);
+    rec.counter_add("optimizer.bnb.variants_skipped", stats.variants_skipped);
     trace_span.attr_u64("tasks", stats.tasks);
     trace_span.attr_u64("nodes_visited", stats.nodes_visited);
     trace_span.attr_u64("leaves_evaluated", stats.leaves_evaluated);
@@ -213,33 +295,24 @@ pub fn search_with_threads_recorded(
 }
 
 /// [`search_with_threads`] returning the tree-shape instrumentation
-/// alongside the outcome — what `composition_bench` serializes.
+/// alongside the outcome — what the bench bins serialize.
 #[must_use]
 pub fn search_with_stats(
     space: &CompositionSpace,
     model: &TcoModel,
     threads: usize,
 ) -> (SearchOutcome, BnbStats) {
-    let threads = if threads == 0 {
-        crate::parallel::default_threads()
-    } else {
-        threads
-    };
+    let threads = resolve_threads(threads);
     let eval = CompositionEvaluator::new(space, model);
     let terms = eval.terms();
     let n = terms.len();
     let bounds = Bounds::new(space, terms);
 
-    // Seed the incumbent with the all-min-cost and all-max-availability
-    // assignments, as the serial engine does.
-    let min_cost_seed: Vec<usize> = terms
-        .iter()
-        .map(|comp| argmin_by(comp, |t| t.cost))
-        .collect();
-    let max_avail_seed: Vec<usize> = terms
-        .iter()
-        .map(|comp| argmin_by(comp, |t| -t.availability))
-        .collect();
+    // Seed the incumbent with two cheap achieved TCOs so the very first
+    // tasks already prune: the all-min-cost assignment (wins when
+    // penalties stay small) and the all-max-availability assignment (wins
+    // when penalties dominate).
+    let [min_cost_seed, max_avail_seed] = seed_assignments(terms);
     let seed_total = eval
         .rank_key(&min_cost_seed)
         .total
@@ -247,19 +320,14 @@ pub fn search_with_stats(
         .min(eval.rank_key(&max_avail_seed).total.value());
     let incumbent = AtomicU64::new(seed_total.to_bits());
 
-    let target_tasks = threads.saturating_mul(TASKS_PER_THREAD).max(1);
-    let mut split_depth = 0usize;
-    let mut task_count = 1usize;
-    while split_depth + 1 < n && task_count < target_tasks {
-        task_count = task_count.saturating_mul(terms[split_depth].len());
-        split_depth += 1;
-    }
-
+    let (split_depth, task_count) = task_plan(terms, threads);
     let next_task = AtomicUsize::new(0);
-    let run_worker = || -> (TaskWins, BnbStats) {
+    let per_worker = run_workers(threads, || -> (TaskWins, BnbStats) {
         let mut walker = Walker {
             model,
             eval: &eval,
+            terms,
+            spine_step: space.spine_step(),
             bounds: &bounds,
             incumbent: &incumbent,
             digits: vec![0usize; n],
@@ -275,29 +343,20 @@ pub fn search_with_stats(
             }
             walker.stats.tasks += 1;
             walker.best = None;
-            walker.seed_prefix(task, split_depth);
+            seed_prefix(
+                &eval,
+                &mut walker.digits,
+                &mut walker.states,
+                task,
+                split_depth,
+            );
             walker.enter(split_depth);
             if let Some((key, digits)) = walker.best.take() {
                 found.push((task, key, digits));
             }
         }
         (found, walker.stats)
-    };
-
-    let per_worker: Vec<(TaskWins, BnbStats)> = if threads == 1 {
-        vec![run_worker()]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|_| run_worker()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("composition BnB worker panicked"))
-                .collect()
-        })
-        .expect("thread scope panicked")
-    };
+    });
 
     let mut stats = BnbStats {
         threads: threads as u64,
@@ -314,7 +373,8 @@ pub fn search_with_stats(
     }
 
     // Merge in task (= lexicographic prefix) order with strict
-    // replacement, exactly as the serial engine tie-breaks.
+    // replacement: among equal keys the earliest assignment wins, exactly
+    // as the streaming enumeration tie-breaks.
     candidates.sort_by_key(|(task, _, _)| *task);
     let objective = Objective::MinTco;
     let mut best: Option<(RankKey, Vec<usize>)> = None;
@@ -343,14 +403,92 @@ pub fn search_with_stats(
 /// Per-task winners one worker collected: `(task index, rank key, digits)`.
 type TaskWins = Vec<(usize, RankKey, Vec<usize>)>;
 
-fn argmin_by(comp: &[CandidateTerms], score: impl Fn(&CandidateTerms) -> f64) -> usize {
-    let mut best = 0usize;
-    for (idx, t) in comp.iter().enumerate().skip(1) {
-        if score(t) < score(&comp[best]) {
-            best = idx;
-        }
+/// `threads`, with `0` meaning the machine's available parallelism.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        crate::parallel::default_threads()
+    } else {
+        threads
     }
-    best
+}
+
+/// The all-min-cost and all-max-availability assignments — the two
+/// extremes the bounded walks seed their incumbents with.
+pub(crate) fn seed_assignments(terms: &[Vec<CandidateTerms>]) -> [Vec<usize>; 2] {
+    let argmin_by = |score: fn(&CandidateTerms) -> f64| -> Vec<usize> {
+        terms
+            .iter()
+            .map(|comp| {
+                let mut best = 0usize;
+                for (idx, t) in comp.iter().enumerate().skip(1) {
+                    if score(t) < score(&comp[best]) {
+                        best = idx;
+                    }
+                }
+                best
+            })
+            .collect()
+    };
+    [argmin_by(|t| t.cost), argmin_by(|t| -t.availability)]
+}
+
+/// Shards the top of the tree into prefix tasks: the smallest depth whose
+/// prefix count gives every worker several tasks to steal. Never splits
+/// the last level — leaves must stay under an interior node so the bound
+/// gets a chance to cut them. Returns `(split_depth, task_count)`.
+pub(crate) fn task_plan(terms: &[Vec<CandidateTerms>], threads: usize) -> (usize, usize) {
+    let target_tasks = threads.saturating_mul(TASKS_PER_THREAD).max(1);
+    let mut split_depth = 0usize;
+    let mut task_count = 1usize;
+    while split_depth + 1 < terms.len() && task_count < target_tasks {
+        task_count = task_count.saturating_mul(terms[split_depth].len());
+        split_depth += 1;
+    }
+    (split_depth, task_count)
+}
+
+/// Runs `worker` once per thread — inline when `threads == 1` — and
+/// returns the results in spawn order.
+///
+/// # Panics
+///
+/// Panics if a worker panics (propagated).
+pub(crate) fn run_workers<T: Send>(threads: usize, worker: impl Fn() -> T + Sync) -> Vec<T> {
+    if threads == 1 {
+        return vec![worker()];
+    }
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(|_| worker())).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("branch-and-bound worker panicked"))
+            .collect()
+    })
+    .expect("thread scope panicked")
+}
+
+/// Decodes a prefix task index (mixed radix over leaves `0..split_depth`,
+/// most significant first — the same flat-index layout
+/// [`CompositionEvaluator::cursor_at`] shards by) into `digits` and folds
+/// the prefix states.
+pub(crate) fn seed_prefix(
+    eval: &CompositionEvaluator<'_>,
+    digits: &mut [usize],
+    states: &mut [FoldState],
+    task: usize,
+    split_depth: usize,
+) {
+    let terms = eval.terms();
+    let mut rem = task;
+    for pos in (0..split_depth).rev() {
+        let radix = terms[pos].len();
+        digits[pos] = rem % radix;
+        rem /= radix;
+    }
+    debug_assert_eq!(rem, 0, "task index out of range");
+    for (pos, &digit) in digits[..split_depth].iter().enumerate() {
+        eval.step_into(states, pos, digit);
+    }
 }
 
 /// One worker's depth-first descent. The digit stack and per-depth fold
@@ -359,6 +497,8 @@ fn argmin_by(comp: &[CandidateTerms], score: impl Fn(&CandidateTerms) -> f64) ->
 struct Walker<'a> {
     model: &'a TcoModel,
     eval: &'a CompositionEvaluator<'a>,
+    terms: &'a [Vec<CandidateTerms>],
+    spine_step: &'a [bool],
     bounds: &'a Bounds,
     incumbent: &'a AtomicU64,
     digits: Vec<usize>,
@@ -369,33 +509,27 @@ struct Walker<'a> {
 }
 
 impl Walker<'_> {
-    /// Decodes a prefix task index (mixed radix over leaves
-    /// `0..split_depth`, most significant first) into the digit stack and
-    /// folds the prefix states.
-    fn seed_prefix(&mut self, task: usize, split_depth: usize) {
-        let terms = self.eval.terms();
-        let mut rem = task;
-        for pos in (0..split_depth).rev() {
-            let radix = terms[pos].len();
-            self.digits[pos] = rem % radix;
-            rem /= radix;
-        }
-        debug_assert_eq!(rem, 0, "task index out of range");
-        for pos in 0..split_depth {
-            self.eval.step_into(&mut self.states, pos, self.digits[pos]);
-        }
+    /// Whether the subtree at `depth` (see [`Bounds::ideal`]) is bounded
+    /// out by the shared incumbent. Runs once per child of every visited
+    /// node; it and the bound are forced inline (left to the heuristics,
+    /// the 6^12 one-thread walk ran ~20 % slower).
+    #[inline(always)]
+    fn prunes(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
+        let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
+        self.bounds.lower_bound(self.model, depth, spine, masked) - BOUND_SLACK > incumbent
+    }
+
+    fn prune(&mut self, depth: usize) {
+        self.stats.subtrees_pruned += 1;
+        self.stats.variants_skipped += self.bounds.suffix_size[depth];
     }
 
     /// Bound-checks the subtree rooted at `depth`, then descends into it.
     fn enter(&mut self, depth: usize) {
         if depth < self.digits.len() {
-            let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
-            let bound = self
-                .bounds
-                .lower_bound(self.model, depth, &self.states[depth]);
-            if bound - BOUND_SLACK > incumbent {
-                self.stats.subtrees_pruned += 1;
-                self.stats.variants_skipped += self.bounds.suffix_size[depth];
+            let state = &self.states[depth];
+            if self.prunes(depth, &state.spine, state.masked()) {
+                self.prune(depth);
                 return;
             }
         }
@@ -403,36 +537,60 @@ impl Walker<'_> {
     }
 
     fn descend(&mut self, depth: usize) {
-        if depth == self.digits.len() {
-            self.leaf();
+        let n = self.digits.len();
+        if depth == n {
+            let acc = self.states[n].combined();
+            self.leaf(&acc);
             return;
         }
         self.stats.nodes_visited += 1;
-        let last = depth + 1 == self.digits.len();
-        for idx in 0..self.eval.terms()[depth].len() {
+        let last = depth + 1 == n;
+        let terms = &self.terms[depth];
+        if self.spine_step[depth] {
+            // A spine step moves only the serial accumulators: bound each
+            // child from a register-held accumulator and write its fold
+            // state only if the walk descends into it.
+            let parent = &self.states[depth];
+            let (base, masked) = (parent.spine, parent.masked());
+            for (idx, t) in terms.iter().enumerate() {
+                self.digits[depth] = idx;
+                let spine = base.push(t);
+                if last {
+                    self.leaf(&masked.combine(&spine));
+                    continue;
+                }
+                // Bound each child before recursing: one prune here skips
+                // the whole child subtree without a stack frame.
+                if self.prunes(depth + 1, &spine, masked) {
+                    self.prune(depth + 1);
+                    continue;
+                }
+                let (head, tail) = self.states.split_at_mut(depth + 1);
+                tail[0].set_spine_step(&head[depth], spine);
+                self.descend(depth + 1);
+            }
+            return;
+        }
+        for idx in 0..terms.len() {
             self.digits[depth] = idx;
             self.eval.step_into(&mut self.states, depth, idx);
+            let child = &self.states[depth + 1];
             if last {
-                self.leaf();
+                let acc = child.combined();
+                self.leaf(&acc);
                 continue;
             }
-            let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
-            let bound = self
-                .bounds
-                .lower_bound(self.model, depth + 1, &self.states[depth + 1]);
-            if bound - BOUND_SLACK > incumbent {
-                self.stats.subtrees_pruned += 1;
-                self.stats.variants_skipped += self.bounds.suffix_size[depth + 1];
+            if self.prunes(depth + 1, &child.spine, child.masked()) {
+                self.prune(depth + 1);
                 continue;
             }
             self.descend(depth + 1);
         }
     }
 
-    fn leaf(&mut self) {
+    fn leaf(&mut self, acc: &Accum) {
         self.stats.leaves_evaluated += 1;
-        let acc = self.states[self.digits.len()].combined();
-        let key = fast::finish(self.model, &acc).2;
+        let key = finish(self.model, acc).2;
         let improved = match &self.best {
             None => true,
             Some((b, _)) => Objective::MinTco.better_key(&key, b),
@@ -457,11 +615,22 @@ impl Walker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::branch_bound;
     use crate::composition::{self, CompositionNode};
+    use crate::exhaustive;
     use crate::space::{Candidate, ComponentChoices, SearchSpace};
-    use uptime_catalog::{case_study, ComponentKind};
+    use uptime_catalog::{case_study, extended, ComponentKind};
     use uptime_core::{ClusterSpec, MoneyPerMonth, Probability};
+
+    fn paper_space() -> CompositionSpace {
+        CompositionSpace::from_serial(
+            &SearchSpace::from_catalog(
+                &case_study::catalog(),
+                &case_study::cloud_id(),
+                &ComponentKind::paper_tiers(),
+            )
+            .unwrap(),
+        )
+    }
 
     fn component(name: &str, downs: &[f64], costs: &[f64]) -> ComponentChoices {
         let candidates = downs
@@ -508,18 +677,72 @@ mod tests {
     }
 
     #[test]
-    fn pure_series_matches_serial_bnb_bit_identically() {
-        let serial = SearchSpace::from_catalog(
-            &case_study::catalog(),
-            &case_study::cloud_id(),
-            &ComponentKind::paper_tiers(),
-        )
-        .unwrap();
-        let space = CompositionSpace::from_serial(&serial);
+    fn finds_paper_optimum() {
+        let space = paper_space();
         let model = case_study::tco_model();
-        let serial_win = branch_bound::search(&serial, &model);
-        let comp_win = search(&space, &model);
-        assert_eq!(serial_win.best().unwrap(), comp_win.best().unwrap());
+        let outcome = search(&space, &model);
+        let best = outcome.best().unwrap();
+        assert_eq!(best.tco().total().value(), 1250.0);
+        assert_eq!(best.assignment(), &[0, 1, 0]);
+        // The winner is the streaming search's, bit for bit.
+        let streaming = composition::search(&space, &model, Objective::MinTco);
+        assert_eq!(streaming.best().unwrap(), best);
+    }
+
+    #[test]
+    fn visits_no_more_than_exhaustive() {
+        let space = paper_space();
+        let model = case_study::tco_model();
+        let full = exhaustive::composition_search(&space, &model, Objective::MinTco);
+        let bb = search(&space, &model);
+        assert!(bb.stats().evaluated <= full.stats().evaluated);
+        assert_eq!(
+            u128::from(bb.stats().considered()),
+            space.assignment_count(),
+            "evaluated + skipped must cover the space"
+        );
+    }
+
+    #[test]
+    fn agrees_with_exhaustive_on_hybrid_clouds() {
+        let catalog = extended::hybrid_catalog();
+        let model = case_study::tco_model();
+        for cloud in [
+            case_study::cloud_id(),
+            extended::nimbus_id(),
+            extended::stratus_id(),
+        ] {
+            let serial =
+                SearchSpace::from_catalog(&catalog, &cloud, &ComponentKind::paper_tiers()).unwrap();
+            let space = CompositionSpace::from_serial(&serial);
+            let full = exhaustive::search(&serial, &model, Objective::MinTco);
+            let bb = search(&space, &model);
+            assert_eq!(
+                full.best().unwrap().tco().total(),
+                bb.best().unwrap().tco().total(),
+                "{cloud}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_candidate_components() {
+        let space = CompositionSpace::new(CompositionNode::Component(
+            ComponentChoices::new(
+                "solo",
+                vec![Candidate::new(
+                    "only",
+                    ClusterSpec::singleton("solo", Probability::new(0.01).unwrap(), 1.0).unwrap(),
+                    MoneyPerMonth::new(10.0).unwrap(),
+                    false,
+                )],
+            )
+            .unwrap(),
+        ))
+        .unwrap();
+        let outcome = search(&space, &case_study::tco_model());
+        assert_eq!(outcome.stats().evaluated, 1);
+        assert!(outcome.best().is_some());
     }
 
     #[test]
@@ -538,40 +761,52 @@ mod tests {
 
     #[test]
     fn thread_counts_agree_bit_identically() {
-        let space = dual_site_space();
+        let hybrid = CompositionSpace::from_serial(
+            &SearchSpace::from_catalog(
+                &extended::hybrid_catalog(),
+                &extended::nimbus_id(),
+                &ComponentKind::paper_tiers(),
+            )
+            .unwrap(),
+        );
         let model = case_study::tco_model();
-        let serial = search_with_threads(&space, &model, 1);
-        for threads in [2, 4, 8] {
-            let parallel = search_with_threads(&space, &model, threads);
-            assert_eq!(
-                serial.best().unwrap(),
-                parallel.best().unwrap(),
-                "{threads} threads"
-            );
-            assert_eq!(
-                u128::from(parallel.stats().considered()),
-                space.assignment_count(),
-                "{threads} threads must still cover the space"
-            );
+        for space in [dual_site_space(), hybrid] {
+            let serial = search_with_threads(&space, &model, 1);
+            for threads in [2, 4, 8] {
+                let parallel = search_with_threads(&space, &model, threads);
+                assert_eq!(
+                    serial.best().unwrap(),
+                    parallel.best().unwrap(),
+                    "{threads} threads"
+                );
+                assert_eq!(
+                    u128::from(parallel.stats().considered()),
+                    space.assignment_count(),
+                    "{threads} threads must still cover the space"
+                );
+            }
         }
     }
 
     #[test]
-    fn prefix_bound_is_admissible_on_a_dag() {
-        let space = dual_site_space();
+    fn prefix_bound_is_admissible() {
         let model = case_study::tco_model();
-        let eval = CompositionEvaluator::new(&space, &model);
-        for depth in 0..=space.leaf_count() {
-            for assignment in space.assignments() {
-                let prefix = &assignment[..depth];
-                let bound = prefix_bound(&space, &model, prefix);
-                for completion in space.assignments() {
-                    if completion[..depth] == *prefix {
-                        let tco = eval.evaluate(&completion).tco().total().value();
-                        assert!(
-                            bound <= tco + 1e-9,
-                            "bound {bound} > tco {tco} for prefix {prefix:?} -> {completion:?}"
-                        );
+        for space in [paper_space(), dual_site_space()] {
+            let eval = CompositionEvaluator::new(&space, &model);
+            for depth in 0..=space.leaf_count() {
+                for assignment in space.assignments() {
+                    let prefix = &assignment[..depth];
+                    let bound = prefix_bound(&space, &model, prefix);
+                    // Every full assignment extending this prefix must cost
+                    // at least the bound.
+                    for completion in space.assignments() {
+                        if completion[..depth] == *prefix {
+                            let tco = eval.evaluate(&completion).tco().total().value();
+                            assert!(
+                                bound <= tco + 1e-9,
+                                "bound {bound} > tco {tco} for prefix {prefix:?} -> {completion:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -579,20 +814,70 @@ mod tests {
     }
 
     #[test]
-    fn prunes_on_skewed_costs() {
-        let space = CompositionSpace::new(CompositionNode::Series(vec![
-            CompositionNode::Component(component("gate", &[0.0001, 0.0001], &[100.0, 1_000_000.0])),
+    fn prunes_expensive_subtrees() {
+        // The gate leaf offers a cheap and a ruinously expensive candidate
+        // with the same availability; once any cheap-side leaf becomes the
+        // incumbent, the expensive prefix's cost bound alone exceeds it and
+        // that whole subtree must die unvisited — on a serial chain and
+        // with a parallel block behind the gate.
+        let gate = || {
+            CompositionNode::Component(component("gate", &[0.0001, 0.0001], &[100.0, 1_000_000.0]))
+        };
+        let serial = CompositionSpace::new(CompositionNode::Series(vec![
+            gate(),
+            CompositionNode::Component(component(
+                "tail",
+                &[0.0001, 0.0001, 0.0001],
+                &[10.0, 20.0, 30.0],
+            )),
+        ]))
+        .unwrap();
+        let dag = CompositionSpace::new(CompositionNode::Series(vec![
+            gate(),
             CompositionNode::Parallel(vec![
                 CompositionNode::Component(component("a", &[0.01, 0.001], &[10.0, 20.0])),
                 CompositionNode::Component(component("b", &[0.01, 0.001], &[10.0, 20.0])),
             ]),
         ]))
         .unwrap();
-        let (outcome, stats) = search_with_stats(&space, &case_study::tco_model(), 1);
-        assert!(stats.subtrees_pruned > 0, "expected a bound cutoff");
-        assert_eq!(
-            u128::from(outcome.stats().considered()),
-            space.assignment_count()
+        for space in [serial, dag] {
+            let (outcome, stats) = search_with_stats(&space, &case_study::tco_model(), 1);
+            assert!(stats.subtrees_pruned > 0, "expected a bound cutoff");
+            assert!(
+                outcome.stats().skipped >= 3,
+                "the expensive subtree has at least 3 leaves"
+            );
+            assert_eq!(
+                u128::from(outcome.stats().considered()),
+                space.assignment_count()
+            );
+        }
+    }
+
+    #[test]
+    fn recorded_search_is_bit_identical_and_counts() {
+        let space = paper_space();
+        let model = case_study::tco_model();
+        let registry = uptime_obs::MetricsRegistry::new();
+        let plain = search_with_threads(&space, &model, 1);
+        let recorded = search_with_threads_recorded(
+            &space,
+            &model,
+            1,
+            &registry,
+            &uptime_obs::TraceSpan::disabled(),
         );
+        assert_eq!(
+            plain.best().unwrap(),
+            recorded.best().unwrap(),
+            "instrumentation must not change results"
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("optimizer.bnb.search.calls"), Some(1));
+        assert_eq!(snap.histogram("optimizer.bnb.search.ns").unwrap().count, 1);
+        let visited = snap.counter("optimizer.bnb.leaves_evaluated").unwrap();
+        let skipped = snap.counter("optimizer.bnb.variants_skipped").unwrap();
+        assert_eq!(u128::from(visited + skipped), space.assignment_count());
+        assert_eq!(snap.gauge("optimizer.bnb.threads"), Some(1.0));
     }
 }

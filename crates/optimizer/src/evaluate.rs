@@ -53,9 +53,10 @@ impl Evaluation {
 
     /// Assembles an evaluation from parts already computed elsewhere.
     ///
-    /// Used by [`crate::fast`] to package results combined from cached
-    /// per-cluster terms; semantics are identical to [`Evaluation::evaluate`]
-    /// when the parts are consistent with the space.
+    /// Used by [`crate::composition`] to package results combined from
+    /// cached per-cluster terms; semantics are identical to
+    /// [`Evaluation::evaluate`] when the parts are consistent with the
+    /// space.
     pub(crate) fn from_parts(
         assignment: Vec<usize>,
         cardinality: usize,

@@ -1,21 +1,22 @@
 //! Exhaustive `k^n` enumeration — the paper's baseline algorithm (§II.C).
 //!
-//! Since PR 2 the enumeration is driven by the factorized [`crate::fast`]
-//! engine: per-cluster terms are cached once and combined incrementally, so
-//! the only per-assignment cost left is materializing the [`Evaluation`]
-//! report itself. Callers that need just the optimum should prefer
-//! [`crate::fast::search`], which skips even that.
+//! The enumeration runs on the composition kernel's cursor: per-candidate
+//! terms are cached once and combined incrementally, so the only
+//! per-assignment cost left is materializing the [`Evaluation`] report
+//! itself. Callers that need just the optimum should prefer
+//! [`crate::composition::search`], which skips even that.
 
 use uptime_core::TcoModel;
 
+use crate::composition::{CompositionEvaluator, CompositionSpace};
 use crate::evaluate::Evaluation;
-use crate::fast::FastEvaluator;
 use crate::objective::Objective;
 use crate::outcome::{SearchOutcome, SearchStats};
 use crate::space::SearchSpace;
 
-/// Evaluates **every** assignment of the space and returns the full
-/// outcome. Exact by construction; `O(k^n)` evaluations.
+/// Evaluates **every** assignment of a serial space and returns the full
+/// outcome: [`composition_search`] on the pure-series space. Exact by
+/// construction; `O(k^n)` evaluations.
 ///
 /// # Examples
 ///
@@ -36,36 +37,22 @@ use crate::space::SearchSpace;
 /// ```
 #[must_use]
 pub fn search(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
-    search_core(space, model, objective)
+    composition_search(&CompositionSpace::from_serial(space), model, objective)
 }
 
-/// [`search`] with observability: the identical enumeration wrapped in an
-/// `optimizer.exhaustive.search` span, flushing
-/// `optimizer.exhaustive.variants` once at the end (never per variant).
-/// `parent` hangs a matching trace span (variant count attached) under
-/// the caller's request trace; pass
-/// [`uptime_obs::TraceSpan::disabled`] outside a traced request.
+/// Evaluates every assignment of a composition space, in lexicographic
+/// visit order — the full option table behind the paper's Fig. 10 and
+/// every archetype's.
 #[must_use]
-pub fn search_recorded(
-    space: &SearchSpace,
+pub fn composition_search(
+    space: &CompositionSpace,
     model: &TcoModel,
     objective: Objective,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
 ) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.exhaustive.search");
-    let mut trace_span = parent.child("optimizer.exhaustive.search");
-    let outcome = search_core(space, model, objective);
-    rec.counter_add("optimizer.exhaustive.variants", outcome.stats().evaluated);
-    trace_span.attr_u64("variants", outcome.stats().evaluated);
-    outcome
-}
-
-fn search_core(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
     let mut evaluations: Vec<Evaluation> =
         Vec::with_capacity(space.assignment_count().min(1 << 20) as usize);
-    let fast = FastEvaluator::new(space, model);
-    let mut cursor = fast.cursor();
+    let eval = CompositionEvaluator::new(space, model);
+    let mut cursor = eval.cursor();
     loop {
         evaluations.push(cursor.evaluation());
         if !cursor.advance() {
@@ -120,22 +107,16 @@ mod tests {
     }
 
     #[test]
-    fn recorded_search_matches_and_counts() {
+    fn table_is_in_lexicographic_visit_order() {
         let space = paper_space();
-        let model = case_study::tco_model();
-        let registry = uptime_obs::MetricsRegistry::new();
-        let plain = search(&space, &model, Objective::MinTco);
-        let recorded = search_recorded(
-            &space,
-            &model,
-            Objective::MinTco,
-            &registry,
-            &uptime_obs::TraceSpan::disabled(),
-        );
-        assert_eq!(plain, recorded, "instrumentation must not change results");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("optimizer.exhaustive.variants"), Some(8));
-        assert_eq!(snap.counter("optimizer.exhaustive.search.calls"), Some(1));
+        let outcome = search(&space, &case_study::tco_model(), Objective::MinTco);
+        let visited: Vec<&[usize]> = outcome
+            .evaluations()
+            .iter()
+            .map(|e| e.assignment())
+            .collect();
+        let expected: Vec<Vec<usize>> = space.assignments().collect();
+        assert_eq!(visited, expected);
     }
 
     #[test]

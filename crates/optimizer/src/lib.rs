@@ -4,36 +4,37 @@
 //! for the minimum-TCO deployment (the paper's Eq. 6, `OptCh = min TCO_i`).
 //!
 //! A [`SearchSpace`] holds, per serial component, the list of [`Candidate`]
-//! HA constructs (cluster spec + monthly cost). The optimizers enumerate
-//! assignments — one candidate per component — and evaluate each with
-//! [`uptime_core::TcoModel`]:
+//! HA constructs (cluster spec + monthly cost); a [`CompositionSpace`]
+//! arranges such candidate sets in a series–parallel topology, and the
+//! paper's serial chain is its pure-series case
+//! ([`CompositionSpace::from_serial`]). Every exact engine runs on one
+//! kernel — the [`composition`] fold, `O(1)` amortized work per variant
+//! from cached per-cluster terms:
 //!
-//! * [`exhaustive::search`] — all `k^n` permutations (paper §II.C),
-//!   driven by the factorized [`fast`] engine.
-//! * [`fast::search`] — streaming argmin over the same space: amortized
-//!   `O(1)` work per variant from cached per-cluster terms, no
-//!   per-assignment allocation.
-//! * [`pruned::search`] — the paper's §III.C optimization: evaluate by
-//!   ascending number of clustered components and skip supersets of any
-//!   SLA-satisfying permutation. Exact (see module docs for the cost
-//!   argument, which is sharper than the paper's uptime argument).
-//! * [`branch_bound::search`] — tight-bound branch-and-bound: cost plus an
-//!   admissible penalty lower bound from best-case suffix survival, with a
-//!   work-stealing parallel variant
-//!   ([`branch_bound::search_with_threads`]) pruning against a shared
+//! * [`composition::search`] — streaming argmin over the whole space, no
+//!   per-assignment allocation; [`parallel::search_best`] shards it
+//!   across threads.
+//! * [`exhaustive::search`] / [`exhaustive::composition_search`] — all
+//!   `k^n` permutations materialized (paper §II.C, Fig. 10's table).
+//! * [`composition_bnb::search`] — tight-bound branch-and-bound: cost plus
+//!   an admissible penalty lower bound from best-case suffix survival,
+//!   with a work-stealing parallel variant
+//!   ([`composition_bnb::search_with_threads`]) pruning against a shared
 //!   incumbent. Exact for `MinTco`, thread-count-independent results.
-//! * [`greedy::search`] / [`anneal::search`] — inexact heuristics used as
-//!   ablation baselines in the benchmarks.
-//! * [`pareto::frontier`] — the cost/uptime Pareto front.
-//! * [`pareto_bnb::search`] — the same frontier on the bounded fast
-//!   path: epsilon-dominance branch-and-bound with hard SLO box
-//!   constraints, thread-count-independent output.
+//! * [`pareto_bnb::composition_search`] — the cost/uptime Pareto frontier
+//!   by epsilon-dominance branch-and-bound with hard SLO box constraints;
+//!   [`pareto_bnb::composition_sweep`] is its exhaustive twin.
+//! * [`archetypes`] generates the deployment-archetype survey's six shapes
+//!   as ready-made composition spaces.
 //!
-//! Beyond serial chains, [`composition`] searches series–parallel
-//! topologies ([`CompositionSpace`] over a `Block` diagram) with the same
-//! factorized-term machinery, [`composition_bnb`] runs the exact
-//! branch-and-bound over them, and [`archetypes`] generates the deployment-
-//! archetype survey's six shapes as ready-made composition spaces.
+//! Oracles and ablations stay beside the kernel: the naive
+//! [`Evaluation::evaluate`], [`pareto::frontier`] and
+//! [`pareto_bnb::naive_frontier`]; the paper's §III.C [`pruned::search`]
+//! (evaluate by ascending number of clustered components and skip
+//! supersets of any SLA-satisfying permutation — exact, see the module
+//! docs for the cost argument, which is sharper than the paper's uptime
+//! argument); the [`greedy::search`] / [`anneal::search`] heuristics; and
+//! the [`sweep`] of SLA targets.
 //!
 //! # Example: the paper's case study
 //!
@@ -61,12 +62,10 @@
 
 pub mod anneal;
 pub mod archetypes;
-pub mod branch_bound;
 pub mod composition;
 pub mod composition_bnb;
 pub mod evaluate;
 pub mod exhaustive;
-pub mod fast;
 pub mod greedy;
 pub mod objective;
 pub mod outcome;
@@ -78,10 +77,9 @@ pub mod space;
 pub mod sweep;
 
 pub use archetypes::Archetype;
-pub use branch_bound::BnbStats;
 pub use composition::{CompositionCursor, CompositionEvaluator, CompositionNode, CompositionSpace};
+pub use composition_bnb::BnbStats;
 pub use evaluate::Evaluation;
-pub use fast::{FastCursor, FastEvaluator};
 pub use objective::{Objective, RankKey};
 pub use outcome::{SearchOutcome, SearchStats};
 pub use pareto::ParetoPoint;

@@ -69,6 +69,12 @@ impl SearchOutcome {
         &self.evaluations
     }
 
+    /// Consumes the outcome, yielding every evaluation in visit order.
+    #[must_use]
+    pub fn into_evaluations(self) -> Vec<Evaluation> {
+        self.evaluations
+    }
+
     /// Instrumentation counters.
     #[must_use]
     pub fn stats(&self) -> SearchStats {

@@ -1,35 +1,22 @@
-//! Parallel exhaustive search for large spaces.
+//! Parallel streaming argmin for large spaces.
 //!
 //! The paper waves `O(k^n)` away because "`n` in practice is usually low".
 //! For hybrid-brokerage spaces (many clouds × many methods) the product
 //! still grows; this module shards the **flat index range** `[0, k^n)`
-//! across threads. Each worker seeds a [`crate::fast::FastCursor`] at its
-//! shard's starting index via [`FastEvaluator::cursor_at`] and walks
-//! forward incrementally, so no assignment list is ever materialized — the
-//! old implementation collected all `k^n` `Vec<usize>` assignments up
-//! front, which on a 6⁶ space already meant ~47k heap vectors before any
-//! evaluation ran, and scaled to gigabytes on joint metacloud spaces.
-//!
-//! Two entry points with different memory contracts:
-//!
-//! * [`search_with_threads`] / [`search`] — materialize every
-//!   [`Evaluation`], exactly like [`crate::exhaustive::search`], and merge
-//!   shards in index order so the result is bit-identical to the serial
-//!   enumeration. `O(k^n)` output memory, inherent to "report everything".
-//! * [`search_best_with_threads`] / [`search_best`] — streaming: each
-//!   worker keeps only its running argmin, the merge keeps the global one.
-//!   `O(threads · n)` memory regardless of space size, and ties resolve to
-//!   the lexicographically-first winner — the same assignment every other
-//!   exact strategy returns.
+//! across threads. Each worker seeds a [`crate::CompositionCursor`] at its
+//! shard's starting index via [`CompositionEvaluator::cursor_at`] and walks
+//! forward incrementally, keeping only its running argmin; the merge keeps
+//! the global one. No assignment list is ever materialized, so memory
+//! stays `O(threads · n)` regardless of space size, and ties resolve to
+//! the lexicographically-first winner — the same assignment every other
+//! exact strategy returns.
 
 use crossbeam::thread;
 use uptime_core::TcoModel;
 
-use crate::evaluate::Evaluation;
-use crate::fast::FastEvaluator;
+use crate::composition::{CompositionEvaluator, CompositionSpace};
 use crate::objective::{Objective, RankKey};
 use crate::outcome::{SearchOutcome, SearchStats};
-use crate::space::SearchSpace;
 
 /// A worker's contiguous slice of the flat assignment index space.
 #[derive(Debug, Clone, Copy)]
@@ -58,141 +45,24 @@ fn shards(total: u128, workers: usize) -> Vec<Shard> {
     out
 }
 
-/// Evaluates every assignment using up to `threads` worker threads.
-///
-/// `threads = 0` is treated as 1; thread counts beyond the number of
-/// assignments are clamped down so no worker starts empty.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (propagated).
-#[must_use]
-pub fn search_with_threads(
-    space: &SearchSpace,
-    model: &TcoModel,
-    objective: Objective,
-    threads: usize,
-) -> SearchOutcome {
-    search_with_threads_core(space, model, objective, threads, &uptime_obs::NOOP)
-}
-
-/// [`search_with_threads`] with observability: an
-/// `optimizer.parallel.search` span plus per-shard wall-clock timings
-/// (`optimizer.parallel.shard_ns` histogram, `optimizer.parallel.shards` /
-/// `optimizer.parallel.variants` counters). Workers time themselves; the
-/// recorder is only touched after the join, so results and merge order are
-/// untouched.
-#[must_use]
-pub fn search_with_threads_recorded(
-    space: &SearchSpace,
-    model: &TcoModel,
-    objective: Objective,
-    threads: usize,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.parallel.search");
-    let mut trace_span = parent.child("optimizer.parallel.search");
-    let outcome = search_with_threads_core(space, model, objective, threads, rec);
-    trace_span.attr_u64("variants", outcome.stats().evaluated);
-    outcome
-}
-
-fn search_with_threads_core(
-    space: &SearchSpace,
-    model: &TcoModel,
-    objective: Objective,
-    threads: usize,
-    rec: &dyn uptime_obs::Recorder,
-) -> SearchOutcome {
-    let fast = FastEvaluator::new(space, model);
-    let total = space.assignment_count();
-    let plan = shards(total, threads);
-
-    let shard_outputs: Vec<(Vec<Evaluation>, u64)> = thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .iter()
-            .map(|&Shard { start, len }| {
-                let fast = &fast;
-                scope.spawn(move |_| {
-                    let started = std::time::Instant::now();
-                    let mut cursor = fast.cursor_at(start);
-                    let mut out = Vec::with_capacity(usize::try_from(len).unwrap_or(usize::MAX));
-                    for step in 0..len {
-                        out.push(cursor.evaluation());
-                        if step + 1 < len {
-                            assert!(cursor.advance(), "shard overran the space");
-                        }
-                    }
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (out, ns)
-                })
-            })
-            .collect();
-        // Shards are joined in index order, reassembling the exact
-        // lexicographic sequence the serial enumeration produces.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    })
-    .expect("thread scope panicked");
-
-    rec.counter_add("optimizer.parallel.shards", shard_outputs.len() as u64);
-    let mut evaluations = Vec::new();
-    for (shard_evals, ns) in shard_outputs {
-        rec.observe("optimizer.parallel.shard_ns", ns as f64);
-        evaluations.extend(shard_evals);
-    }
-    rec.counter_add("optimizer.parallel.variants", evaluations.len() as u64);
-
-    let stats = SearchStats {
-        evaluated: evaluations.len() as u64,
-        skipped: 0,
-    };
-    SearchOutcome::from_evaluations(objective, evaluations, stats)
-}
-
-/// Evaluates every assignment using the machine's available parallelism.
-///
-/// # Examples
-///
-/// ```
-/// use uptime_catalog::{case_study, ComponentKind};
-/// use uptime_optimizer::{parallel, Objective, SearchSpace};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let space = SearchSpace::from_catalog(
-///     &case_study::catalog(),
-///     &case_study::cloud_id(),
-///     &ComponentKind::paper_tiers(),
-/// )?;
-/// let outcome = parallel::search(&space, &case_study::tco_model(), Objective::MinTco);
-/// assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn search(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
-    search_with_threads(space, model, objective, default_threads())
-}
-
-/// Streaming parallel argmin: like [`search_with_threads`] but each worker
-/// keeps only its best assignment, so memory stays `O(threads · n)` no
-/// matter how wide the space is. The returned outcome carries just the
-/// winning [`Evaluation`]; `stats().evaluated` counts the full space
+/// Streaming parallel argmin over up to `threads` workers: each keeps only
+/// its best assignment, so memory stays `O(threads · n)` no matter how wide
+/// the space is. The returned outcome carries just the winning
+/// [`crate::Evaluation`]; `stats().evaluated` counts the full space
 /// (saturating at `u64::MAX`).
 ///
-/// Ties resolve to the lexicographically-first best assignment — identical
-/// to every materializing strategy — because the shard merge only replaces
-/// the incumbent when a later shard's key is *strictly* better.
+/// `threads = 0` is treated as 1; thread counts beyond the number of
+/// assignments are clamped down so no worker starts empty. Ties resolve to
+/// the lexicographically-first best assignment — identical to every
+/// materializing strategy — because the shard merge only replaces the
+/// incumbent when a later shard's key is *strictly* better.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (propagated).
 #[must_use]
 pub fn search_best_with_threads(
-    space: &SearchSpace,
+    space: &CompositionSpace,
     model: &TcoModel,
     objective: Objective,
     threads: usize,
@@ -201,12 +71,14 @@ pub fn search_best_with_threads(
 }
 
 /// [`search_best_with_threads`] with observability: an
-/// `optimizer.parallel.search_best` span plus the same per-shard metrics
-/// as [`search_with_threads_recorded`]. The shard loops and the merge are
-/// bit-identical to the unrecorded path.
+/// `optimizer.parallel.search_best` span plus per-shard wall-clock timings
+/// (`optimizer.parallel.shard_ns` histogram, `optimizer.parallel.shards` /
+/// `optimizer.parallel.variants` counters). Workers time themselves; the
+/// recorder is only touched after the join, so the shard loops and the
+/// merge are bit-identical to the unrecorded path.
 #[must_use]
 pub fn search_best_with_threads_recorded(
-    space: &SearchSpace,
+    space: &CompositionSpace,
     model: &TcoModel,
     objective: Objective,
     threads: usize,
@@ -221,13 +93,13 @@ pub fn search_best_with_threads_recorded(
 }
 
 fn search_best_with_threads_core(
-    space: &SearchSpace,
+    space: &CompositionSpace,
     model: &TcoModel,
     objective: Objective,
     threads: usize,
     rec: &dyn uptime_obs::Recorder,
 ) -> SearchOutcome {
-    let fast = FastEvaluator::new(space, model);
+    let eval = CompositionEvaluator::new(space, model);
     let total = space.assignment_count();
     let plan = shards(total, threads);
 
@@ -235,10 +107,10 @@ fn search_best_with_threads_core(
         let handles: Vec<_> = plan
             .iter()
             .map(|&Shard { start, len }| {
-                let fast = &fast;
+                let eval = &eval;
                 scope.spawn(move |_| {
                     let started = std::time::Instant::now();
-                    let mut cursor = fast.cursor_at(start);
+                    let mut cursor = eval.cursor_at(start);
                     let mut best_key = cursor.rank_key();
                     let mut best_digits = cursor.assignment().to_vec();
                     for _ in 1..len {
@@ -288,12 +160,35 @@ fn search_best_with_threads_core(
         evaluated: u64::try_from(total).unwrap_or(u64::MAX),
         skipped: 0,
     };
-    SearchOutcome::from_evaluations(objective, vec![fast.evaluate(&best_digits)], stats)
+    SearchOutcome::from_evaluations(objective, vec![eval.evaluate(&best_digits)], stats)
 }
 
 /// [`search_best_with_threads`] at the machine's available parallelism.
+///
+/// # Examples
+///
+/// ```
+/// use uptime_catalog::{case_study, ComponentKind};
+/// use uptime_optimizer::{parallel, CompositionSpace, Objective, SearchSpace};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let serial = SearchSpace::from_catalog(
+///     &case_study::catalog(),
+///     &case_study::cloud_id(),
+///     &ComponentKind::paper_tiers(),
+/// )?;
+/// let space = CompositionSpace::from_serial(&serial);
+/// let outcome = parallel::search_best(&space, &case_study::tco_model(), Objective::MinTco);
+/// assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
+/// # Ok(())
+/// # }
+/// ```
 #[must_use]
-pub fn search_best(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
+pub fn search_best(
+    space: &CompositionSpace,
+    model: &TcoModel,
+    objective: Objective,
+) -> SearchOutcome {
     search_best_with_threads(space, model, objective, default_threads())
 }
 
@@ -306,78 +201,44 @@ pub(crate) fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exhaustive, fast};
+    use crate::space::SearchSpace;
+    use crate::{composition, exhaustive};
     use uptime_catalog::{case_study, ComponentKind};
 
-    fn paper_space() -> SearchSpace {
-        SearchSpace::from_catalog(
-            &case_study::catalog(),
-            &case_study::cloud_id(),
-            &ComponentKind::paper_tiers(),
+    fn paper_space() -> CompositionSpace {
+        CompositionSpace::from_serial(
+            &SearchSpace::from_catalog(
+                &case_study::catalog(),
+                &case_study::cloud_id(),
+                &ComponentKind::paper_tiers(),
+            )
+            .unwrap(),
         )
-        .unwrap()
-    }
-
-    #[test]
-    fn matches_serial_exhaustive() {
-        let space = paper_space();
-        let model = case_study::tco_model();
-        let serial = exhaustive::search(&space, &model, Objective::MinTco);
-        let parallel = search(&space, &model, Objective::MinTco);
-        assert_eq!(
-            serial.best().unwrap().assignment(),
-            parallel.best().unwrap().assignment()
-        );
-        assert_eq!(serial.evaluations().len(), parallel.evaluations().len());
-        // Deterministic merge: shards are joined in index order, so the
-        // result reassembles the lexicographic order bit-for-bit.
-        assert_eq!(serial.evaluations(), parallel.evaluations());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_result() {
-        let space = paper_space();
-        let model = case_study::tco_model();
-        let one = search_with_threads(&space, &model, Objective::MinTco, 1);
-        let many = search_with_threads(&space, &model, Objective::MinTco, 8);
-        assert_eq!(one.evaluations(), many.evaluations());
     }
 
     #[test]
     fn oversubscribed_threads_clamped() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let outcome = search_with_threads(&space, &model, Objective::MinTco, 1000);
+        let outcome = search_best_with_threads(&space, &model, Objective::MinTco, 1000);
         assert_eq!(outcome.stats().evaluated, 8);
+        assert_eq!(outcome.best().unwrap().assignment(), &[0, 1, 0]);
     }
 
     #[test]
     fn zero_threads_treated_as_one() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let outcome = search_with_threads(&space, &model, Objective::MinTco, 0);
-        assert_eq!(outcome.stats().evaluated, 8);
-        assert_eq!(outcome.best().unwrap().assignment(), &[0, 1, 0]);
         let streaming = search_best_with_threads(&space, &model, Objective::MinTco, 0);
+        assert_eq!(streaming.stats().evaluated, 8);
         assert_eq!(streaming.best().unwrap().assignment(), &[0, 1, 0]);
     }
 
     #[test]
-    fn recorded_searches_match_and_time_shards() {
+    fn recorded_search_matches_and_times_shards() {
         let space = paper_space();
         let model = case_study::tco_model();
         let registry = uptime_obs::MetricsRegistry::new();
-
-        let plain = search_with_threads(&space, &model, Objective::MinTco, 3);
-        let recorded = search_with_threads_recorded(
-            &space,
-            &model,
-            Objective::MinTco,
-            3,
-            &registry,
-            &uptime_obs::TraceSpan::disabled(),
-        );
-        assert_eq!(plain, recorded, "instrumentation must not change results");
 
         let plain_best = search_best_with_threads(&space, &model, Objective::MinTco, 3);
         let recorded_best = search_best_with_threads_recorded(
@@ -391,13 +252,12 @@ mod tests {
         assert_eq!(plain_best.best(), recorded_best.best());
 
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("optimizer.parallel.shards"), Some(6));
-        assert_eq!(snap.counter("optimizer.parallel.variants"), Some(16));
+        assert_eq!(snap.counter("optimizer.parallel.shards"), Some(3));
+        assert_eq!(snap.counter("optimizer.parallel.variants"), Some(8));
         assert_eq!(
             snap.histogram("optimizer.parallel.shard_ns").unwrap().count,
-            6
+            3
         );
-        assert_eq!(snap.counter("optimizer.parallel.search.calls"), Some(1));
         assert_eq!(
             snap.counter("optimizer.parallel.search_best.calls"),
             Some(1)
@@ -424,7 +284,7 @@ mod tests {
         let space = paper_space();
         let model = case_study::tco_model();
         for objective in [Objective::MinTco, Objective::MinPenaltyRisk] {
-            let full = search_with_threads(&space, &model, objective, 3);
+            let full = exhaustive::composition_search(&space, &model, objective);
             for threads in [1, 2, 5, 100] {
                 let slim = search_best_with_threads(&space, &model, objective, threads);
                 assert_eq!(
@@ -439,10 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_serial_fast_search() {
+    fn streaming_matches_single_cursor_search() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let serial = fast::search(&space, &model, Objective::MinTco);
+        let serial = composition::search(&space, &model, Objective::MinTco);
         let parallel = search_best(&space, &model, Objective::MinTco);
         assert_eq!(serial.best().unwrap(), parallel.best().unwrap());
     }

@@ -4,18 +4,18 @@
 //! client with the *frontier* of deployments where spending more strictly
 //! buys more uptime — useful when the SLA itself is negotiable.
 //!
-//! The sweep runs on the factorized [`crate::fast`] engine: one cursor
-//! pass collects `(HA cost, uptime)` facts from the cached per-candidate
-//! terms (no per-assignment system rebuild, no `Evaluation` allocation),
-//! and only the surviving frontier points are materialized. Equivalence
+//! The sweep runs on the composition kernel's cursor over the pure-series
+//! space: one pass collects `(HA cost, uptime)` facts from the cached
+//! per-candidate terms (no per-assignment system rebuild, no `Evaluation`
+//! allocation), and only the surviving frontier points are materialized. Equivalence
 //! with the naive dominance-filter definition is pinned by
 //! `frontier_matches_naive_dominance_filter` below.
 
 use serde::{Deserialize, Serialize};
 use uptime_core::{MoneyPerMonth, Probability, TcoModel};
 
+use crate::composition::{CompositionEvaluator, CompositionSpace};
 use crate::evaluate::Evaluation;
-use crate::fast::FastEvaluator;
 use crate::space::SearchSpace;
 
 /// One point on the cost/uptime frontier.
@@ -93,12 +93,13 @@ impl ParetoPoint {
 /// ```
 #[must_use]
 pub fn frontier(space: &SearchSpace, model: &TcoModel) -> Vec<ParetoPoint> {
-    let fast = FastEvaluator::new(space, model);
+    let space = CompositionSpace::from_serial(space);
+    let eval = CompositionEvaluator::new(&space, model);
 
     // One streaming pass over the cached terms: compact facts only, no
     // Evaluation until a point survives the sweep.
     let mut facts: Vec<(MoneyPerMonth, Probability, u128)> = Vec::new();
-    let mut cursor = fast.cursor();
+    let mut cursor = eval.cursor();
     let mut index = 0u128;
     loop {
         let cost = MoneyPerMonth::new(cursor.accum().cost)
@@ -128,7 +129,7 @@ pub fn frontier(space: &SearchSpace, model: &TcoModel) -> Vec<ParetoPoint> {
         if best_uptime.is_none_or(|b| uptime > b) {
             best_uptime = Some(uptime);
             out.push(ParetoPoint {
-                evaluation: fast.cursor_at(flat_index).evaluation(),
+                evaluation: eval.cursor_at(flat_index).evaluation(),
             });
         }
     }

@@ -2,14 +2,13 @@
 //!
 //! [`crate::pareto::frontier`] sweeps every assignment; this module puts
 //! frontier extraction on the bounded fast path. A depth-first walk over
-//! the factorized [`crate::fast`] terms carries the PR 5 admissible
-//! per-prefix aggregates (`branch_bound::Bounds`): at depth `d`
-//! the *ideal point* of the subtree — the cost floor
-//! `acc.cost + minC_d` and the availability ceiling
-//! `acc.avail · maxA_d` — bounds every completion in both frontier axes
-//! at once. The subtree is discarded when an already-achieved feasible
-//! point **epsilon-dominates** that ideal point: beats the cost floor by
-//! more than `ε + slack` *and* the availability ceiling by more than
+//! the composition kernel's cached terms carries the admissible per-prefix
+//! aggregates of `composition_bnb::Bounds`: at depth `d` the *ideal point*
+//! of the subtree — its cost floor and its availability ceiling — bounds
+//! every completion in both frontier axes at once. The subtree is
+//! discarded when an already-achieved feasible point
+//! **epsilon-dominates** that ideal point: beats the cost floor by more
+//! than `ε + slack` *and* the availability ceiling by more than
 //! `ε + slack`. Every leaf inside such a subtree is strictly dominated
 //! by an achieved point, so pruning never removes a frontier achiever —
 //! which is exactly why the output is thread-count-independent (see
@@ -31,24 +30,25 @@
 //! cost/uptime-dominated by a failover-infeasible one, which is why
 //! infeasible leaves never enter the pruning archive.
 //!
-//! [`composition_search_with_threads`] runs the same walk over
-//! series–parallel [`CompositionSpace`]s using
-//! `composition_bnb::Bounds`; [`naive_frontier`] /
+//! The paper's serial chains run through the same walk as the pure-series
+//! case ([`CompositionSpace::from_serial`]; [`sweep`] takes a
+//! [`SearchSpace`] directly). [`naive_frontier`] /
 //! [`naive_composition_frontier`] are the materializing O(N²) dominance
 //! references the differential suite and the PR 9 bench gate compare
 //! against.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam::thread;
 use serde::{Deserialize, Serialize};
 use uptime_core::{Probability, TcoModel, UptimeBreakdown, HOURS_PER_MONTH};
 
-use crate::branch_bound::Bounds as SerialBounds;
-use crate::composition::{CompositionEvaluator, CompositionSpace, FoldState};
-use crate::composition_bnb::Bounds as CompositionBounds;
+use crate::composition::{
+    finish, Accum, CompositionEvaluator, CompositionSpace, FoldState, Masked,
+};
+use crate::composition_bnb::{
+    resolve_threads, run_workers, seed_assignments, seed_prefix, task_plan, Bounds,
+};
 use crate::evaluate::Evaluation;
-use crate::fast::{self, Accum, CandidateTerms, FastEvaluator};
 use crate::pareto::ParetoPoint;
 use crate::space::SearchSpace;
 
@@ -57,9 +57,6 @@ use crate::space::SearchSpace;
 /// it is cut, so bound-vs-leaf rounding noise can never discard a
 /// frontier achiever.
 const BOUND_SLACK: f64 = 1e-6;
-
-/// Prefix tasks per worker, matching the argmin engines' stealing grain.
-const TASKS_PER_THREAD: usize = 8;
 
 /// Hard SLO box constraints restricting the feasible set the frontier is
 /// extracted over. `None` everywhere (see [`FrontierConstraints::NONE`])
@@ -212,24 +209,24 @@ impl Archive {
     }
 }
 
-/// Single-threaded frontier extraction over a serial space. Exact: the
-/// points equal [`naive_frontier`]'s (same cost/uptime pairs), with the
+/// Single-threaded frontier extraction. Exact: the points equal
+/// [`naive_composition_frontier`]'s (same cost/uptime pairs), with the
 /// lexicographically-smallest assignment representing each point.
 ///
 /// # Examples
 ///
 /// ```
 /// use uptime_catalog::{case_study, ComponentKind};
-/// use uptime_optimizer::{pareto_bnb, SearchSpace};
+/// use uptime_optimizer::{pareto_bnb, CompositionSpace, SearchSpace};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let space = SearchSpace::from_catalog(
+/// let serial = SearchSpace::from_catalog(
 ///     &case_study::catalog(),
 ///     &case_study::cloud_id(),
 ///     &ComponentKind::paper_tiers(),
 /// )?;
-/// let outcome = pareto_bnb::search(
-///     &space,
+/// let outcome = pareto_bnb::composition_search(
+///     &CompositionSpace::from_serial(&serial),
 ///     &case_study::tco_model(),
 ///     &pareto_bnb::FrontierConstraints::NONE,
 ///     1e-9,
@@ -238,144 +235,6 @@ impl Archive {
 /// # Ok(())
 /// # }
 /// ```
-#[must_use]
-pub fn search(
-    space: &SearchSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-) -> FrontierOutcome {
-    search_with_threads(space, model, constraints, epsilon, 1)
-}
-
-/// [`search`] across `threads` workers stealing prefix tasks; `0` means
-/// the machine's available parallelism. The frontier is bit-identical
-/// for every thread count.
-#[must_use]
-pub fn search_with_threads(
-    space: &SearchSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-    threads: usize,
-) -> FrontierOutcome {
-    let threads = if threads == 0 {
-        crate::parallel::default_threads()
-    } else {
-        threads
-    };
-    let fast = FastEvaluator::new(space, model);
-    let terms = fast.terms();
-    let n = terms.len();
-    let bounds = SerialBounds::new(terms);
-    let margin = epsilon.max(0.0) + BOUND_SLACK;
-
-    // Seed every worker's archive with the two extreme achieved points
-    // (cheapest-possible and most-available-possible assignments) so the
-    // first tasks already prune — only if they are actually feasible.
-    let mut seeds: Vec<(f64, f64)> = Vec::new();
-    for seed in [
-        terms
-            .iter()
-            .map(|comp| argmin_by(comp, |t| t.cost))
-            .collect::<Vec<usize>>(),
-        terms
-            .iter()
-            .map(|comp| argmin_by(comp, |t| -t.availability))
-            .collect::<Vec<usize>>(),
-    ] {
-        let mut acc = Accum::IDENTITY;
-        for (pos, &idx) in seed.iter().enumerate() {
-            acc = acc.push(&terms[pos][idx]);
-        }
-        let (uptime, tco, key) = fast::finish(model, &acc);
-        let (cost, up) = (tco.ha_cost().value(), key.availability.value());
-        if constraints.admits(cost, up, failover_minutes(&uptime)) {
-            seeds.push((cost, up));
-        }
-    }
-
-    let target_tasks = threads.saturating_mul(TASKS_PER_THREAD).max(1);
-    let mut split_depth = 0usize;
-    let mut task_count = 1usize;
-    while split_depth + 1 < n && task_count < target_tasks {
-        task_count = task_count.saturating_mul(terms[split_depth].len());
-        split_depth += 1;
-    }
-
-    let next_task = AtomicUsize::new(0);
-    let run_worker = || -> (Vec<Survivor>, ParetoStats) {
-        let mut archive = Archive::new(margin);
-        for &(cost, up) in &seeds {
-            archive.insert(cost, up);
-        }
-        let mut walker = SerialWalker {
-            model,
-            terms,
-            bounds: &bounds,
-            constraints,
-            digits: vec![0usize; n],
-            archive,
-            found: Vec::new(),
-            stats: ParetoStats::default(),
-        };
-        loop {
-            let task = next_task.fetch_add(1, Ordering::Relaxed);
-            if task >= task_count {
-                break;
-            }
-            walker.stats.tasks += 1;
-            let acc = walker.seed_prefix(task, split_depth);
-            walker.enter(split_depth, acc);
-        }
-        (walker.found, walker.stats)
-    };
-
-    let per_worker: Vec<(Vec<Survivor>, ParetoStats)> = if threads == 1 {
-        vec![run_worker()]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|_| run_worker()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pareto worker panicked"))
-                .collect()
-        })
-        .expect("thread scope panicked")
-    };
-
-    let (survivors, mut stats) = merge_workers(per_worker, threads);
-    let points = materialize(survivors, |digits| fast.evaluate(digits));
-    stats.frontier_size = points.len() as u64;
-    FrontierOutcome { points, stats }
-}
-
-/// [`search_with_threads`] with observability: the run wrapped in an
-/// `optimizer.pareto.search` span, the tree-shape counters
-/// (`optimizer.pareto.{nodes_visited,pruned,frontier_size}` and friends)
-/// flushed once at the end, and a matching trace span hung under
-/// `parent`. Pass [`uptime_obs::TraceSpan::disabled`] outside a traced
-/// request.
-#[must_use]
-pub fn search_with_threads_recorded(
-    space: &SearchSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-    threads: usize,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> FrontierOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.pareto.search");
-    let outcome = search_with_threads(space, model, constraints, epsilon, threads);
-    record_stats(outcome.stats(), rec, parent);
-    outcome
-}
-
-/// Single-threaded frontier extraction over a composition space. On
-/// pure-series spaces the points are bit-identical to [`search`]'s.
 #[must_use]
 pub fn composition_search(
     space: &CompositionSpace,
@@ -396,54 +255,33 @@ pub fn composition_search_with_threads(
     epsilon: f64,
     threads: usize,
 ) -> FrontierOutcome {
-    let threads = if threads == 0 {
-        crate::parallel::default_threads()
-    } else {
-        threads
-    };
+    let threads = resolve_threads(threads);
     let eval = CompositionEvaluator::new(space, model);
     let terms = eval.terms();
     let n = terms.len();
-    let bounds = CompositionBounds::new(space, terms);
+    let bounds = Bounds::new(space, terms);
     let margin = epsilon.max(0.0) + BOUND_SLACK;
 
+    // Seed every worker's archive with the two extreme achieved points
+    // (cheapest-possible and most-available-possible assignments) so the
+    // first tasks already prune — only if they are actually feasible.
     let mut seeds: Vec<(f64, f64)> = Vec::new();
-    for seed in [
-        terms
-            .iter()
-            .map(|comp| argmin_by(comp, |t| t.cost))
-            .collect::<Vec<usize>>(),
-        terms
-            .iter()
-            .map(|comp| argmin_by(comp, |t| -t.availability))
-            .collect::<Vec<usize>>(),
-    ] {
-        let mut states = vec![eval.base_state(); n + 1];
-        for (pos, &idx) in seed.iter().enumerate() {
-            eval.step_into(&mut states, pos, idx);
-        }
-        let (uptime, tco, key) = fast::finish(model, &states[n].combined());
+    for seed in seed_assignments(terms) {
+        let (uptime, tco, key) = finish(model, &eval.fold(&seed).combined());
         let (cost, up) = (tco.ha_cost().value(), key.availability.value());
         if constraints.admits(cost, up, failover_minutes(&uptime)) {
             seeds.push((cost, up));
         }
     }
 
-    let target_tasks = threads.saturating_mul(TASKS_PER_THREAD).max(1);
-    let mut split_depth = 0usize;
-    let mut task_count = 1usize;
-    while split_depth + 1 < n && task_count < target_tasks {
-        task_count = task_count.saturating_mul(terms[split_depth].len());
-        split_depth += 1;
-    }
-
+    let (split_depth, task_count) = task_plan(terms, threads);
     let next_task = AtomicUsize::new(0);
-    let run_worker = || -> (Vec<Survivor>, ParetoStats) {
+    let per_worker = run_workers(threads, || -> (Vec<Survivor>, ParetoStats) {
         let mut archive = Archive::new(margin);
         for &(cost, up) in &seeds {
             archive.insert(cost, up);
         }
-        let mut walker = CompositionWalker {
+        let mut walker = Walker {
             model,
             eval: &eval,
             bounds: &bounds,
@@ -460,26 +298,17 @@ pub fn composition_search_with_threads(
                 break;
             }
             walker.stats.tasks += 1;
-            walker.seed_prefix(task, split_depth);
+            seed_prefix(
+                &eval,
+                &mut walker.digits,
+                &mut walker.states,
+                task,
+                split_depth,
+            );
             walker.enter(split_depth);
         }
         (walker.found, walker.stats)
-    };
-
-    let per_worker: Vec<(Vec<Survivor>, ParetoStats)> = if threads == 1 {
-        vec![run_worker()]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|_| run_worker()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pareto worker panicked"))
-                .collect()
-        })
-        .expect("thread scope panicked")
-    };
+    });
 
     let (survivors, mut stats) = merge_workers(per_worker, threads);
     let points = materialize(survivors, |digits| eval.evaluate(digits));
@@ -487,9 +316,12 @@ pub fn composition_search_with_threads(
     FrontierOutcome { points, stats }
 }
 
-/// [`composition_search_with_threads`] with the same observability as
-/// [`search_with_threads_recorded`] (shared `optimizer.pareto.*` names —
-/// the serve layer cares about frontier work, not the space topology).
+/// [`composition_search_with_threads`] with observability: the run
+/// wrapped in an `optimizer.pareto.search` span, the tree-shape counters
+/// (`optimizer.pareto.{nodes_visited,pruned,frontier_size}` and friends)
+/// flushed once at the end, and a matching trace span hung under
+/// `parent`. Pass [`uptime_obs::TraceSpan::disabled`] outside a traced
+/// request.
 #[must_use]
 pub fn composition_search_with_threads_recorded(
     space: &CompositionSpace,
@@ -527,14 +359,8 @@ fn record_stats(
     trace_span.attr_u64("frontier_size", stats.frontier_size);
 }
 
-/// Exhaustive frontier extraction over a serial space on the fast path:
-/// every assignment is folded through the cached terms (no pruning, no
-/// `Evaluation` materialization until the final merge), filtered by the
-/// hard constraints, and dominance-filtered through the same archive and
-/// merge as [`search`] — so the points, order, and representatives are
-/// bit-identical to the branch-and-bound engines'. This is the
-/// `--engine exhaustive` dispatch target; only `leaves_evaluated` in the
-/// stats differs from [`search`]'s (every leaf is visited here).
+/// Exhaustive frontier extraction over a serial space:
+/// [`composition_sweep`] on the pure-series space.
 #[must_use]
 pub fn sweep(
     space: &SearchSpace,
@@ -542,35 +368,22 @@ pub fn sweep(
     constraints: &FrontierConstraints,
     epsilon: f64,
 ) -> FrontierOutcome {
-    let fast = FastEvaluator::new(space, model);
-    let mut archive = Archive::new(epsilon.max(0.0) + BOUND_SLACK);
-    let mut found: Vec<Survivor> = Vec::new();
-    let mut stats = ParetoStats {
-        threads: 1,
-        tasks: 1,
-        ..ParetoStats::default()
-    };
-    let mut cursor = fast.cursor();
-    loop {
-        stats.leaves_evaluated += 1;
-        let acc = cursor.accum();
-        let (uptime, tco, key) = fast::finish(model, &acc);
-        let (cost, up) = (tco.ha_cost().value(), key.availability.value());
-        if constraints.admits(cost, up, failover_minutes(&uptime)) && archive.insert(cost, up) {
-            found.push((cost, key.availability, cursor.assignment().to_vec()));
-        }
-        if !cursor.advance() {
-            break;
-        }
-    }
-    let points = materialize(found, |digits| fast.evaluate(digits));
-    stats.frontier_size = points.len() as u64;
-    FrontierOutcome { points, stats }
+    composition_sweep(
+        &CompositionSpace::from_serial(space),
+        model,
+        constraints,
+        epsilon,
+    )
 }
 
-/// [`sweep`] over a composition space: the exhaustive dispatch target
-/// for archetype topologies, bit-identical to
-/// [`composition_search_with_threads`].
+/// Exhaustive frontier extraction: every assignment is folded through the
+/// cached terms (no pruning, no `Evaluation` materialization until the
+/// final merge), filtered by the hard constraints, and dominance-filtered
+/// through the same archive and merge as [`composition_search`] — so the
+/// points, order, and representatives are bit-identical to the
+/// branch-and-bound engine's. This is the `--engine exhaustive` dispatch
+/// target; only `leaves_evaluated` in the stats differs (every leaf is
+/// visited here).
 #[must_use]
 pub fn composition_sweep(
     space: &CompositionSpace,
@@ -589,8 +402,7 @@ pub fn composition_sweep(
     let mut cursor = eval.cursor();
     loop {
         stats.leaves_evaluated += 1;
-        let acc = cursor.accum();
-        let (uptime, tco, key) = fast::finish(model, &acc);
+        let (uptime, tco, key) = finish(model, &cursor.accum());
         let (cost, up) = (tco.ha_cost().value(), key.availability.value());
         if constraints.admits(cost, up, failover_minutes(&uptime)) && archive.insert(cost, up) {
             found.push((cost, key.availability, cursor.assignment().to_vec()));
@@ -602,24 +414,6 @@ pub fn composition_sweep(
     let points = materialize(found, |digits| eval.evaluate(digits));
     stats.frontier_size = points.len() as u64;
     FrontierOutcome { points, stats }
-}
-
-/// [`sweep`] with the same observability as
-/// [`search_with_threads_recorded`] — the serve layer's counters don't
-/// care which engine extracted the frontier.
-#[must_use]
-pub fn sweep_recorded(
-    space: &SearchSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> FrontierOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.pareto.search");
-    let outcome = sweep(space, model, constraints, epsilon);
-    record_stats(outcome.stats(), rec, parent);
-    outcome
 }
 
 /// [`composition_sweep`] with recorded observability.
@@ -714,16 +508,6 @@ fn naive_filter(evals: Vec<Evaluation>) -> Vec<ParetoPoint> {
         .collect()
 }
 
-fn argmin_by(comp: &[CandidateTerms], score: impl Fn(&CandidateTerms) -> f64) -> usize {
-    let mut best = 0usize;
-    for (idx, t) in comp.iter().enumerate().skip(1) {
-        if score(t) < score(&comp[best]) {
-            best = idx;
-        }
-    }
-    best
-}
-
 /// Sums worker stats and pools their survivors for the final sweep.
 fn merge_workers(
     per_worker: Vec<(Vec<Survivor>, ParetoStats)>,
@@ -771,109 +555,11 @@ fn materialize(
     points
 }
 
-/// One worker's depth-first frontier descent over a serial space.
-struct SerialWalker<'a> {
-    model: &'a TcoModel,
-    terms: &'a [Vec<CandidateTerms>],
-    bounds: &'a SerialBounds,
-    constraints: &'a FrontierConstraints,
-    digits: Vec<usize>,
-    archive: Archive,
-    found: Vec<Survivor>,
-    stats: ParetoStats,
-}
-
-impl SerialWalker<'_> {
-    /// Decodes a prefix task index (mixed radix, most significant first)
-    /// into the digit stack and returns the prefix accumulators.
-    fn seed_prefix(&mut self, task: usize, split_depth: usize) -> Accum {
-        let mut rem = task;
-        for pos in (0..split_depth).rev() {
-            let radix = self.terms[pos].len();
-            self.digits[pos] = rem % radix;
-            rem /= radix;
-        }
-        debug_assert_eq!(rem, 0, "task index out of range");
-        let mut acc = Accum::IDENTITY;
-        for pos in 0..split_depth {
-            acc = acc.push(&self.terms[pos][self.digits[pos]]);
-        }
-        acc
-    }
-
-    /// Whether the subtree at `depth` can be discarded: its cost floor
-    /// breaks the cap, its availability ceiling misses the floor, or an
-    /// achieved feasible point epsilon-dominates its ideal point.
-    fn prunable(&self, depth: usize, acc: &Accum) -> bool {
-        let cost_lb = acc.cost + self.bounds.suffix_min_cost[depth];
-        let up_ub = Probability::saturating(acc.avail * self.bounds.suffix_max_avail[depth]);
-        if let Some(cap) = self.constraints.max_cost {
-            if cost_lb - BOUND_SLACK > cap {
-                return true;
-            }
-        }
-        if let Some(floor) = self.constraints.min_uptime {
-            if up_ub.value() + BOUND_SLACK < floor {
-                return true;
-            }
-        }
-        self.archive.dominates_bound(cost_lb, up_ub.value())
-    }
-
-    fn enter(&mut self, depth: usize, acc: Accum) {
-        if depth < self.digits.len() && self.prunable(depth, &acc) {
-            self.stats.subtrees_pruned += 1;
-            self.stats.variants_skipped += self.bounds.suffix_size[depth];
-            return;
-        }
-        self.descend(depth, acc);
-    }
-
-    fn descend(&mut self, depth: usize, acc: Accum) {
-        if depth == self.digits.len() {
-            self.leaf(&acc);
-            return;
-        }
-        self.stats.nodes_visited += 1;
-        let last = depth + 1 == self.digits.len();
-        for idx in 0..self.terms[depth].len() {
-            self.digits[depth] = idx;
-            let child = acc.push(&self.terms[depth][idx]);
-            if last {
-                self.leaf(&child);
-                continue;
-            }
-            if self.prunable(depth + 1, &child) {
-                self.stats.subtrees_pruned += 1;
-                self.stats.variants_skipped += self.bounds.suffix_size[depth + 1];
-                continue;
-            }
-            self.descend(depth + 1, child);
-        }
-    }
-
-    fn leaf(&mut self, acc: &Accum) {
-        self.stats.leaves_evaluated += 1;
-        let (uptime, tco, key) = fast::finish(self.model, acc);
-        let cost = tco.ha_cost().value();
-        let up = key.availability;
-        if !self
-            .constraints
-            .admits(cost, up.value(), failover_minutes(&uptime))
-        {
-            return;
-        }
-        if self.archive.insert(cost, up.value()) {
-            self.found.push((cost, up, self.digits.clone()));
-        }
-    }
-}
-
-/// One worker's depth-first frontier descent over a composition space.
-struct CompositionWalker<'a> {
+/// One worker's depth-first frontier descent.
+struct Walker<'a> {
     model: &'a TcoModel,
     eval: &'a CompositionEvaluator<'a>,
-    bounds: &'a CompositionBounds,
+    bounds: &'a Bounds,
     constraints: &'a FrontierConstraints,
     digits: Vec<usize>,
     /// `states[d]` = fold state just before leaf `d`; `states[n]` = final.
@@ -883,28 +569,13 @@ struct CompositionWalker<'a> {
     stats: ParetoStats,
 }
 
-impl CompositionWalker<'_> {
-    fn seed_prefix(&mut self, task: usize, split_depth: usize) {
-        let terms = self.eval.terms();
-        let mut rem = task;
-        for pos in (0..split_depth).rev() {
-            let radix = terms[pos].len();
-            self.digits[pos] = rem % radix;
-            rem /= radix;
-        }
-        debug_assert_eq!(rem, 0, "task index out of range");
-        for pos in 0..split_depth {
-            self.eval.step_into(&mut self.states, pos, self.digits[pos]);
-        }
-    }
-
-    fn prunable(&self, depth: usize) -> bool {
-        let state = &self.states[depth];
-        let cost_lb = state.spine.cost + state.extra_cost + self.bounds.suffix_min_cost[depth];
-        let avail_ub = state.spine.avail
-            * state.mask
-            * self.bounds.spine_suffix_max[depth]
-            * self.bounds.par_suffix_max[depth];
+impl Walker<'_> {
+    /// Whether the subtree at `depth` can be discarded: its cost floor
+    /// breaks the cap, its availability ceiling misses the floor, or an
+    /// achieved feasible point epsilon-dominates its ideal point (see
+    /// [`Bounds::ideal`] for the arguments).
+    fn prunable(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
+        let (cost_lb, avail_ub) = self.bounds.ideal(depth, spine, masked);
         let up_ub = Probability::saturating(avail_ub);
         if let Some(cap) = self.constraints.max_cost {
             if cost_lb - BOUND_SLACK > cap {
@@ -919,42 +590,74 @@ impl CompositionWalker<'_> {
         self.archive.dominates_bound(cost_lb, up_ub.value())
     }
 
+    fn prune(&mut self, depth: usize) {
+        self.stats.subtrees_pruned += 1;
+        self.stats.variants_skipped += self.bounds.suffix_size[depth];
+    }
+
     fn enter(&mut self, depth: usize) {
-        if depth < self.digits.len() && self.prunable(depth) {
-            self.stats.subtrees_pruned += 1;
-            self.stats.variants_skipped += self.bounds.suffix_size[depth];
-            return;
+        if depth < self.digits.len() {
+            let state = &self.states[depth];
+            if self.prunable(depth, &state.spine, state.masked()) {
+                self.prune(depth);
+                return;
+            }
         }
         self.descend(depth);
     }
 
     fn descend(&mut self, depth: usize) {
-        if depth == self.digits.len() {
-            self.leaf();
+        let n = self.digits.len();
+        if depth == n {
+            let acc = self.states[n].combined();
+            self.leaf(&acc);
             return;
         }
         self.stats.nodes_visited += 1;
-        let last = depth + 1 == self.digits.len();
-        for idx in 0..self.eval.terms()[depth].len() {
+        let last = depth + 1 == n;
+        let terms = &self.eval.terms()[depth];
+        if self.eval.space().spine_step()[depth] {
+            // As in `composition_bnb`: bound a spine child from a
+            // register-held accumulator, write its state on descent.
+            let parent = &self.states[depth];
+            let (base, masked) = (parent.spine, parent.masked());
+            for (idx, t) in terms.iter().enumerate() {
+                self.digits[depth] = idx;
+                let spine = base.push(t);
+                if last {
+                    self.leaf(&masked.combine(&spine));
+                    continue;
+                }
+                if self.prunable(depth + 1, &spine, masked) {
+                    self.prune(depth + 1);
+                    continue;
+                }
+                let (head, tail) = self.states.split_at_mut(depth + 1);
+                tail[0].set_spine_step(&head[depth], spine);
+                self.descend(depth + 1);
+            }
+            return;
+        }
+        for idx in 0..terms.len() {
             self.digits[depth] = idx;
             self.eval.step_into(&mut self.states, depth, idx);
+            let child = &self.states[depth + 1];
             if last {
-                self.leaf();
+                let acc = child.combined();
+                self.leaf(&acc);
                 continue;
             }
-            if self.prunable(depth + 1) {
-                self.stats.subtrees_pruned += 1;
-                self.stats.variants_skipped += self.bounds.suffix_size[depth + 1];
+            if self.prunable(depth + 1, &child.spine, child.masked()) {
+                self.prune(depth + 1);
                 continue;
             }
             self.descend(depth + 1);
         }
     }
 
-    fn leaf(&mut self) {
+    fn leaf(&mut self, acc: &Accum) {
         self.stats.leaves_evaluated += 1;
-        let acc = self.states[self.digits.len()].combined();
-        let (uptime, tco, key) = fast::finish(self.model, &acc);
+        let (uptime, tco, key) = finish(self.model, acc);
         let cost = tco.ha_cost().value();
         let up = key.availability;
         if !self
@@ -975,13 +678,17 @@ mod tests {
     use crate::pareto;
     use uptime_catalog::{case_study, ComponentKind};
 
-    fn paper_space() -> SearchSpace {
+    fn paper_serial() -> SearchSpace {
         SearchSpace::from_catalog(
             &case_study::catalog(),
             &case_study::cloud_id(),
             &ComponentKind::paper_tiers(),
         )
         .unwrap()
+    }
+
+    fn paper_space() -> CompositionSpace {
+        CompositionSpace::from_serial(&paper_serial())
     }
 
     fn pairs(points: &[ParetoPoint]) -> Vec<(f64, f64)> {
@@ -993,25 +700,23 @@ mod tests {
 
     #[test]
     fn unconstrained_matches_streaming_frontier() {
-        let space = paper_space();
         let model = case_study::tco_model();
-        let swept = pareto::frontier(&space, &model);
-        let bnb = search(&space, &model, &FrontierConstraints::NONE, 1e-9);
+        let swept = pareto::frontier(&paper_serial(), &model);
+        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9);
         assert_eq!(pairs(bnb.points()), pairs(&swept));
         assert_eq!(bnb.stats().frontier_size, swept.len() as u64);
     }
 
     #[test]
     fn matches_naive_reference_under_constraints() {
-        let space = paper_space();
         let model = case_study::tco_model();
         let constraints = FrontierConstraints {
             max_cost: Some(2000.0),
             min_uptime: Some(0.93),
             max_failover_minutes: None,
         };
-        let naive = naive_frontier(&space, &model, &constraints);
-        let bnb = search(&space, &model, &constraints, 1e-9);
+        let naive = naive_frontier(&paper_serial(), &model, &constraints);
+        let bnb = composition_search(&paper_space(), &model, &constraints, 1e-9);
         assert_eq!(pairs(bnb.points()), pairs(&naive));
         // The cap and floor cut both frontier ends of the paper space.
         assert!(bnb.points().iter().all(|p| p.ha_cost().value() <= 2000.0));
@@ -1022,45 +727,53 @@ mod tests {
     fn thread_counts_are_bit_identical() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let base = search_with_threads(&space, &model, &FrontierConstraints::NONE, 1e-9, 1);
+        let base =
+            composition_search_with_threads(&space, &model, &FrontierConstraints::NONE, 1e-9, 1);
         for threads in [2, 8] {
-            let other =
-                search_with_threads(&space, &model, &FrontierConstraints::NONE, 1e-9, threads);
+            let other = composition_search_with_threads(
+                &space,
+                &model,
+                &FrontierConstraints::NONE,
+                1e-9,
+                threads,
+            );
             assert_eq!(base.points(), other.points(), "threads {threads} diverged");
         }
     }
 
     #[test]
     fn infeasible_constraints_return_empty() {
-        let space = paper_space();
         let model = case_study::tco_model();
         let constraints = FrontierConstraints {
             max_cost: Some(10.0),
             min_uptime: Some(0.9999),
             max_failover_minutes: None,
         };
-        let outcome = search(&space, &model, &constraints, 1e-9);
+        let outcome = composition_search(&paper_space(), &model, &constraints, 1e-9);
         assert!(outcome.is_infeasible());
-        assert!(naive_frontier(&space, &model, &constraints).is_empty());
+        assert!(naive_frontier(&paper_serial(), &model, &constraints).is_empty());
     }
 
     #[test]
     fn prunes_against_full_enumeration() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let outcome = search(&space, &model, &FrontierConstraints::NONE, 1e-9);
+        let outcome = composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9);
         let total: u64 = outcome.stats().leaves_evaluated + outcome.stats().variants_skipped;
         assert_eq!(u128::from(total), space.assignment_count());
     }
 
     #[test]
-    fn pure_series_composition_matches_serial() {
-        let space = paper_space();
-        let comp = CompositionSpace::from_serial(&space);
+    fn serial_sweep_matches_bounded_search() {
         let model = case_study::tco_model();
-        let serial = search(&space, &model, &FrontierConstraints::NONE, 1e-9);
-        let composed = composition_search(&comp, &model, &FrontierConstraints::NONE, 1e-9);
-        assert_eq!(serial.points(), composed.points());
+        let swept = sweep(&paper_serial(), &model, &FrontierConstraints::NONE, 1e-9);
+        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9);
+        assert_eq!(swept.points(), bnb.points());
+        assert_eq!(
+            swept.stats().leaves_evaluated,
+            8,
+            "the sweep visits every leaf"
+        );
     }
 
     #[test]

@@ -23,8 +23,8 @@
 
 use uptime_core::TcoModel;
 
+use crate::composition::{CompositionEvaluator, CompositionSpace};
 use crate::evaluate::Evaluation;
-use crate::fast::FastEvaluator;
 use crate::objective::Objective;
 use crate::outcome::{SearchOutcome, SearchStats};
 use crate::space::SearchSpace;
@@ -95,7 +95,8 @@ pub fn search_recorded(
 
 fn search_core(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
     let sla = model.sla();
-    let fast = FastEvaluator::new(space, model);
+    let chain = CompositionSpace::from_serial(space);
+    let eval = CompositionEvaluator::new(&chain, model);
     let mut evaluations: Vec<Evaluation> = Vec::new();
     let mut satisfiers: Vec<Vec<usize>> = Vec::new();
     let mut stats = SearchStats::default();
@@ -116,7 +117,7 @@ fn search_core(space: &SearchSpace, model: &TcoModel, objective: Objective) -> S
                 stats.skipped += 1;
                 continue;
             }
-            let evaluation = fast.evaluate(&assignment);
+            let evaluation = eval.evaluate(&assignment);
             stats.evaluated += 1;
             if sla.is_met_by(evaluation.uptime().availability()) {
                 satisfiers.push(assignment);

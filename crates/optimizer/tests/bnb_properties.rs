@@ -1,14 +1,16 @@
-//! Property tests for the branch-and-bound engine (ISSUE PR 5):
+//! Property tests for the branch-and-bound engine on serial chains (the
+//! pure-series composition spaces the paper searches):
 //!
 //! * **Admissibility** — for every prefix of every assignment of a random
-//!   space, `branch_bound::prefix_bound` never exceeds the true TCO of any
-//!   completion of that prefix. This is the invariant §III.C-style pruning
-//!   exactness rests on: a subtree is discarded only when its bound
-//!   already beats the incumbent, so an admissible bound can never discard
-//!   the optimum.
+//!   space, `composition_bnb::prefix_bound` never exceeds the true TCO of
+//!   any completion of that prefix. This is the invariant §III.C-style
+//!   pruning exactness rests on: a subtree is discarded only when its
+//!   bound already beats the incumbent, so an admissible bound can never
+//!   discard the optimum.
 //! * **Exactness under parallelism** — the bounded search returns the
-//!   `fast::search` winner bit-for-bit at several worker counts, and its
-//!   `evaluated + skipped` accounting always covers the whole space.
+//!   `composition::search` winner bit-for-bit at several worker counts,
+//!   and its `evaluated + skipped` accounting always covers the whole
+//!   space.
 
 use proptest::prelude::*;
 use uptime_core::{
@@ -16,7 +18,8 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    branch_bound, fast, Candidate, ComponentChoices, FastEvaluator, Objective, SearchSpace,
+    composition, composition_bnb, Candidate, ComponentChoices, CompositionEvaluator,
+    CompositionSpace, Objective,
 };
 
 /// Strategy: one component with a free baseline plus up to 3 HA options,
@@ -60,14 +63,16 @@ fn component_strategy(index: usize) -> impl Strategy<Value = ComponentChoices> {
         })
 }
 
-fn space_strategy() -> impl Strategy<Value = SearchSpace> {
+fn space_strategy() -> impl Strategy<Value = CompositionSpace> {
     prop::collection::vec(any::<u8>(), 1..=4).prop_flat_map(|seeds| {
         let comps: Vec<_> = seeds
             .iter()
             .enumerate()
             .map(|(i, _)| component_strategy(i))
             .collect();
-        comps.prop_map(|v| SearchSpace::new(v).unwrap())
+        comps.prop_map(|v| {
+            CompositionSpace::from_serial(&uptime_optimizer::SearchSpace::new(v).unwrap())
+        })
     })
 }
 
@@ -93,11 +98,11 @@ proptest! {
         space in space_strategy(),
         model in model_strategy(),
     ) {
-        let fast_eval = FastEvaluator::new(&space, &model);
+        let fast_eval = CompositionEvaluator::new(&space, &model);
         for assignment in space.assignments() {
             let tco = fast_eval.evaluate(&assignment).tco().total().value();
             for depth in 0..=assignment.len() {
-                let bound = branch_bound::prefix_bound(&space, &model, &assignment[..depth]);
+                let bound = composition_bnb::prefix_bound(&space, &model, &assignment[..depth]);
                 prop_assert!(
                     bound <= tco + 1e-9,
                     "inadmissible bound at depth {depth}: bound {bound} > TCO {tco} \
@@ -120,7 +125,7 @@ proptest! {
         for assignment in space.assignments() {
             let mut previous = f64::NEG_INFINITY;
             for depth in 0..=assignment.len() {
-                let bound = branch_bound::prefix_bound(&space, &model, &assignment[..depth]);
+                let bound = composition_bnb::prefix_bound(&space, &model, &assignment[..depth]);
                 prop_assert!(
                     bound >= previous - 1e-9,
                     "bound slackened from {previous} to {bound} at depth {depth} \
@@ -132,16 +137,16 @@ proptest! {
     }
 
     /// The bounded search is exact and thread-count independent on
-    /// arbitrary spaces: winner bit-identical to `fast::search`, space
-    /// fully accounted for.
+    /// arbitrary spaces: winner bit-identical to `composition::search`,
+    /// space fully accounted for.
     #[test]
     fn bounded_search_is_exact_at_any_width(
         space in space_strategy(),
         model in model_strategy(),
         threads in 1usize..=8,
     ) {
-        let streamed = fast::search(&space, &model, Objective::MinTco);
-        let bounded = branch_bound::search_with_threads(&space, &model, threads);
+        let streamed = composition::search(&space, &model, Objective::MinTco);
+        let bounded = composition_bnb::search_with_threads(&space, &model, threads);
         prop_assert_eq!(bounded.best().unwrap(), streamed.best().unwrap());
         prop_assert_eq!(
             u128::from(bounded.stats().considered()),

@@ -3,13 +3,15 @@
 //! Two contracts, checked over seeded random spaces:
 //!
 //! * **Serial special case.** On a pure-series `CompositionSpace` (built
-//!   with `from_serial`) the composition streaming search and the
-//!   composition branch-and-bound must return winners **bit-identical**
-//!   (`assert_eq!` on the whole `Evaluation`) to `fast::search` and
-//!   `branch_bound::search`, across seeds 0–24 and 1/2/8 worker threads.
-//!   The fold multiplies by `mask = 1.0` and adds `extra_cost = 0.0`, both
-//!   of which preserve every bit, so nothing weaker than equality is
-//!   acceptable here.
+//!   with `from_serial`) the streaming search, the sharded streaming
+//!   search and the branch-and-bound must all return the winner of a
+//!   naive exhaustive sweep (per-assignment `Evaluation::evaluate` on the
+//!   serial chain), and be **bit-identical** (`assert_eq!` on the whole
+//!   `Evaluation`) to one another and to the kernel's own evaluation of
+//!   that winner, across seeds 0–24 and 1/2/8 worker threads. The fold
+//!   multiplies by `mask = 1.0` and adds `extra_cost = 0.0`, both of
+//!   which preserve every bit, so nothing weaker than equality is
+//!   acceptable between engines.
 //! * **DAG topologies.** On random series–parallel spaces (a spine
 //!   gateway plus 2–3 parallel site chains) the winners of both engines
 //!   must match a naive exhaustive sweep that materializes every
@@ -26,8 +28,8 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    branch_bound, composition, composition_bnb, fast, Candidate, ComponentChoices, CompositionNode,
-    CompositionSpace, Evaluation, Objective, SearchSpace,
+    composition, composition_bnb, parallel, Candidate, ComponentChoices, CompositionEvaluator,
+    CompositionNode, CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
 /// Deterministic splitmix64 — self-contained so the harness does not
@@ -145,39 +147,64 @@ fn random_model(rng: &mut Rng) -> TcoModel {
     )
 }
 
-/// Pure-series contract: composition engines are bit-identical to the
-/// serial engines — winners compare with `assert_eq!`, not tolerance.
+/// Pure-series contract: every engine finds the naive argmin, and the
+/// engines' winners are bit-identical — `assert_eq!`, not tolerance.
 fn run_serial_differential(seed: u64) {
     let mut rng = Rng::new(seed);
     let serial = random_serial_space(&mut rng);
     let space = CompositionSpace::from_serial(&serial);
     let model = random_model(&mut rng);
     assert!(space.is_pure_series());
+    let eval = CompositionEvaluator::new(&space, &model);
 
     for objective in [Objective::MinTco, Objective::MinPenaltyRisk] {
-        let fast_win = fast::search(&serial, &model, objective);
+        let naive: Vec<Evaluation> = serial
+            .assignments()
+            .map(|a| Evaluation::evaluate(&serial, &model, &a))
+            .collect();
+        let reference = objective.best(&naive).unwrap();
         let comp_win = composition::search(&space, &model, objective);
+        let best = comp_win.best().unwrap();
         assert_eq!(
-            comp_win.best().unwrap(),
-            fast_win.best().unwrap(),
-            "seed {seed}: composition::search must equal fast::search bit-for-bit"
+            best.assignment(),
+            reference.assignment(),
+            "seed {seed}: composition::search diverged from the naive argmin"
+        );
+        assert!(
+            (best.tco().total().value() - reference.tco().total().value()).abs() <= 1e-12,
+            "seed {seed}: TCO {} vs naive {}",
+            best.tco().total(),
+            reference.tco().total()
+        );
+        assert_eq!(
+            best,
+            &eval.evaluate(best.assignment()),
+            "seed {seed}: streaming winner must be the kernel's evaluation bit-for-bit"
         );
         assert_eq!(
             u128::from(comp_win.stats().evaluated),
             space.assignment_count(),
             "seed {seed}: streaming search must visit the whole space"
         );
+        for threads in [1, 2, 8] {
+            let sharded = parallel::search_best_with_threads(&space, &model, objective, threads);
+            assert_eq!(
+                sharded.best().unwrap(),
+                best,
+                "seed {seed} x{threads}: sharded streaming diverged from the single cursor"
+            );
+        }
     }
 
-    // The bounded engines are MinTco-exact; their winners must agree with
-    // each other and with the streaming argmin, at every thread count.
-    let serial_bnb = branch_bound::search(&serial, &model);
+    // The bounded engine is MinTco-exact; its winner must agree with the
+    // streaming argmin bit-for-bit, at every thread count.
+    let streaming = composition::search(&space, &model, Objective::MinTco);
     for threads in [1, 2, 8] {
         let comp_bnb = composition_bnb::search_with_threads(&space, &model, threads);
         assert_eq!(
             comp_bnb.best().unwrap(),
-            serial_bnb.best().unwrap(),
-            "seed {seed} x{threads}: composition BnB diverged from serial BnB"
+            streaming.best().unwrap(),
+            "seed {seed} x{threads}: composition BnB diverged from the streaming search"
         );
         assert_eq!(
             u128::from(comp_bnb.stats().considered()),

@@ -1,16 +1,18 @@
 //! Cross-strategy differential harness.
 //!
 //! Generates random-but-valid search spaces from seeded entropy and checks
-//! that every exact strategy agrees:
+//! that every exact strategy agrees, each engine running on the
+//! composition kernel over the pure-series space:
 //!
-//! * `fast` (streaming), `parallel::search_best` (sharded streaming),
-//!   `pruned`, and `branch_bound` must pick the **same argmin** as the
-//!   naive exhaustive reference, with TCO and uptime within `1e-12`.
-//! * `parallel::search_with_threads` must reproduce the exhaustive
-//!   evaluation list **exactly** (bit-for-bit), at several thread counts.
-//! * `branch_bound::search_with_threads` must return a winner bit-identical
-//!   to `fast::search` at 1, 2, and 8 worker threads, with
-//!   `evaluated + skipped` covering the whole space.
+//! * `composition::search` (streaming), `parallel::search_best` (sharded
+//!   streaming), `pruned`, and `composition_bnb` must pick the **same
+//!   argmin** as the naive exhaustive reference, with TCO and uptime
+//!   within `1e-12`.
+//! * `exhaustive::search` must reproduce the kernel's evaluation of every
+//!   assignment **exactly** (bit-for-bit), in lexicographic order.
+//! * `composition_bnb::search_with_threads` must return a winner
+//!   bit-identical to `composition::search` at 1, 2, and 8 worker threads,
+//!   with `evaluated + skipped` covering the whole space.
 //! * `greedy` is a heuristic: its result must be a valid assignment whose
 //!   TCO is an **upper bound** on (never better than) the true optimum.
 //!
@@ -26,8 +28,8 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    branch_bound, exhaustive, fast, greedy, parallel, pruned, Candidate, ComponentChoices,
-    Evaluation, Objective, SearchSpace,
+    composition, composition_bnb, exhaustive, greedy, parallel, pruned, Candidate,
+    ComponentChoices, CompositionEvaluator, CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
 /// Deterministic splitmix64 — self-contained so the harness does not
@@ -154,23 +156,24 @@ fn naive_reference(space: &SearchSpace, model: &TcoModel, objective: Objective) 
 fn run_differential(seed: u64) {
     let mut rng = Rng::new(seed);
     let space = random_space(&mut rng);
+    let chain = CompositionSpace::from_serial(&space);
     let model = random_model(&mut rng);
 
     for objective in [Objective::MinTco, Objective::MinPenaltyRisk] {
         let reference = naive_reference(&space, &model, objective);
 
-        // Fast streaming search: same argmin, ≤1e-12 on TCO and uptime.
-        let streamed = fast::search(&space, &model, objective);
-        assert_same_optimum("fast::search", &reference, streamed.best().unwrap());
+        // Streaming search: same argmin, ≤1e-12 on TCO and uptime.
+        let streamed = composition::search(&chain, &model, objective);
+        assert_same_optimum("composition::search", &reference, streamed.best().unwrap());
         assert_eq!(
             u128::from(streamed.stats().evaluated),
             space.assignment_count(),
-            "fast::search must visit the whole space"
+            "composition::search must visit the whole space"
         );
 
         // Sharded streaming search at several thread counts.
         for threads in [1, 2, 3, 7] {
-            let slim = parallel::search_best_with_threads(&space, &model, objective, threads);
+            let slim = parallel::search_best_with_threads(&chain, &model, objective, threads);
             assert_same_optimum(
                 &format!("parallel::search_best x{threads}"),
                 &reference,
@@ -178,21 +181,20 @@ fn run_differential(seed: u64) {
             );
         }
 
-        // Materializing parallel search must equal serial exhaustive
-        // bit-for-bit (assignments, uptime, TCO — the whole list).
-        let serial = exhaustive::search(&space, &model, objective);
-        for threads in [1, 2, 5] {
-            let sharded = parallel::search_with_threads(&space, &model, objective, threads);
-            assert_eq!(
-                serial.evaluations(),
-                sharded.evaluations(),
-                "parallel x{threads}: evaluation list diverged from serial"
-            );
-        }
+        // The materialized table must equal the kernel's evaluation of
+        // every assignment bit-for-bit, in lexicographic order.
+        let table = exhaustive::search(&space, &model, objective);
+        let eval = CompositionEvaluator::new(&chain, &model);
+        let pointwise: Vec<Evaluation> = space.assignments().map(|a| eval.evaluate(&a)).collect();
+        assert_eq!(
+            table.evaluations(),
+            pointwise.as_slice(),
+            "exhaustive: evaluation list diverged from the kernel"
+        );
         assert_same_optimum(
-            "exhaustive (fast-backed)",
+            "exhaustive (kernel-backed)",
             &reference,
-            serial.best().unwrap(),
+            table.best().unwrap(),
         );
 
         // Greedy is a heuristic lower bound on quality: never better than
@@ -224,35 +226,36 @@ fn run_differential(seed: u64) {
         space.assignment_count(),
         "pruned: evaluated + skipped must cover the space"
     );
-    let bounded = branch_bound::search(&space, &model);
-    assert_same_optimum("branch_bound", &reference, bounded.best().unwrap());
+    let bounded = composition_bnb::search(&chain, &model);
+    assert_same_optimum("composition_bnb", &reference, bounded.best().unwrap());
     assert_eq!(
         u128::from(bounded.stats().considered()),
         space.assignment_count(),
-        "branch_bound: evaluated + skipped must cover the space"
+        "composition_bnb: evaluated + skipped must cover the space"
     );
 
-    // The bounded search shares the factorized evaluator with `fast`, so
-    // its winner must be bit-identical (not merely within tolerance) to
-    // the streaming argmin — and independent of the worker count.
-    let streaming = fast::search(&space, &model, Objective::MinTco);
+    // The bounded search shares the factorized evaluator with the
+    // streaming search, so its winner must be bit-identical (not merely
+    // within tolerance) to the streaming argmin — and independent of the
+    // worker count.
+    let streaming = composition::search(&chain, &model, Objective::MinTco);
     let serial_best = bounded.best().unwrap();
     assert_eq!(
         serial_best,
         streaming.best().unwrap(),
-        "branch_bound: winner must equal fast::search bit-for-bit"
+        "composition_bnb: winner must equal composition::search bit-for-bit"
     );
     for threads in [2, 8] {
-        let sharded = branch_bound::search_with_threads(&space, &model, threads);
+        let sharded = composition_bnb::search_with_threads(&chain, &model, threads);
         assert_eq!(
             sharded.best().unwrap(),
             serial_best,
-            "branch_bound x{threads}: winner diverged from single-threaded run"
+            "composition_bnb x{threads}: winner diverged from single-threaded run"
         );
         assert_eq!(
             u128::from(sharded.stats().considered()),
             space.assignment_count(),
-            "branch_bound x{threads}: evaluated + skipped must cover the space"
+            "composition_bnb x{threads}: evaluated + skipped must cover the space"
         );
     }
 }
@@ -299,7 +302,8 @@ fn fast_matches_naive_pointwise() {
         let mut rng = Rng::new(seed ^ 0xD1F7);
         let space = random_space(&mut rng);
         let model = random_model(&mut rng);
-        let fast = uptime_optimizer::FastEvaluator::new(&space, &model);
+        let chain = CompositionSpace::from_serial(&space);
+        let fast = CompositionEvaluator::new(&chain, &model);
         for assignment in space.assignments() {
             let naive = Evaluation::evaluate(&space, &model, &assignment);
             let quick = fast.evaluate(&assignment);

@@ -7,8 +7,9 @@
 //! * At fixed `C_HA`, TCO is monotone non-increasing in `U_s` — more
 //!   uptime can only shrink the slippage penalty (Eq. 5).
 //! * Superset pruning never discards the exhaustive optimum.
-//! * Fast and naive evaluation agree pointwise (≤1e-12) on arbitrary
-//!   spaces, and the streaming search returns the exhaustive argmin.
+//! * Fast (composition-kernel, pure-series) and naive evaluation agree
+//!   pointwise (≤1e-12) on arbitrary spaces, and the streaming search
+//!   returns the exhaustive argmin.
 
 use proptest::prelude::*;
 use uptime_core::{
@@ -16,8 +17,8 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    exhaustive, fast, pruned, Candidate, ComponentChoices, Evaluation, FastEvaluator, Objective,
-    SearchSpace,
+    composition, exhaustive, pruned, Candidate, ComponentChoices, CompositionEvaluator,
+    CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
 /// Strategy: one component with a free baseline plus up to 3 HA options,
@@ -90,7 +91,8 @@ proptest! {
         space in space_strategy(),
         model in model_strategy(),
     ) {
-        let fast_eval = FastEvaluator::new(&space, &model);
+        let chain = CompositionSpace::from_serial(&space);
+        let fast_eval = CompositionEvaluator::new(&chain, &model);
         for assignment in space.assignments() {
             for e in [
                 Evaluation::evaluate(&space, &model, &assignment),
@@ -156,7 +158,8 @@ proptest! {
         space in space_strategy(),
         model in model_strategy(),
     ) {
-        let fast_eval = FastEvaluator::new(&space, &model);
+        let chain = CompositionSpace::from_serial(&space);
+        let fast_eval = CompositionEvaluator::new(&chain, &model);
         for assignment in space.assignments() {
             let naive = Evaluation::evaluate(&space, &model, &assignment);
             let quick = fast_eval.evaluate(&assignment);
@@ -169,7 +172,7 @@ proptest! {
                     - naive.uptime().availability().value()).abs() <= 1e-12
             );
         }
-        let streamed = fast::search(&space, &model, Objective::MinTco);
+        let streamed = composition::search(&chain, &model, Objective::MinTco);
         let full = exhaustive::search(&space, &model, Objective::MinTco);
         prop_assert_eq!(
             streamed.best().unwrap().assignment(),

@@ -179,24 +179,25 @@ fn assert_mutually_non_dominated(points: &[ParetoPoint], label: &str) {
 
 fn run_serial_differential(seed: u64) {
     let mut rng = Rng::new(seed);
-    let space = random_serial_space(&mut rng);
+    let serial = random_serial_space(&mut rng);
+    let space = CompositionSpace::from_serial(&serial);
     let model = random_model(&mut rng);
-    let unconstrained = pareto_bnb::naive_frontier(&space, &model, &FrontierConstraints::NONE);
+    let unconstrained = pareto_bnb::naive_frontier(&serial, &model, &FrontierConstraints::NONE);
     let constraints = random_constraints(&mut rng, &unconstrained);
 
     for (label, cons) in [
         ("unconstrained", FrontierConstraints::NONE),
         ("constrained", constraints),
     ] {
-        let naive = pareto_bnb::naive_frontier(&space, &model, &cons);
-        let base = pareto_bnb::search_with_threads(&space, &model, &cons, 1e-9, 1);
+        let naive = pareto_bnb::naive_frontier(&serial, &model, &cons);
+        let base = pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, 1);
         assert_eq!(
             pairs(base.points()),
             pairs(&naive),
             "seed {seed} {label}: BnB frontier diverged from naive dominance filter"
         );
         assert_mutually_non_dominated(base.points(), label);
-        let swept = pareto_bnb::sweep(&space, &model, &cons, 1e-9);
+        let swept = pareto_bnb::sweep(&serial, &model, &cons, 1e-9);
         assert_eq!(
             base.points(),
             swept.points(),
@@ -209,7 +210,8 @@ fn run_serial_differential(seed: u64) {
             "seed {seed} {label}: evaluated + skipped must cover the space"
         );
         for threads in [2, 8] {
-            let other = pareto_bnb::search_with_threads(&space, &model, &cons, 1e-9, threads);
+            let other =
+                pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, threads);
             assert_eq!(
                 base.points(),
                 other.points(),
@@ -268,22 +270,5 @@ fn serial_frontier_matches_naive_seeds_0_24() {
 fn dag_frontier_matches_naive_seeds_0_24() {
     for seed in 0..25 {
         run_dag_differential(seed);
-    }
-}
-
-#[test]
-fn pure_series_composition_matches_serial_engine() {
-    for seed in 0..25 {
-        let mut rng = Rng::new(seed);
-        let serial = random_serial_space(&mut rng);
-        let space = CompositionSpace::from_serial(&serial);
-        let model = random_model(&mut rng);
-        let a = pareto_bnb::search(&serial, &model, &FrontierConstraints::NONE, 1e-9);
-        let b = pareto_bnb::composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9);
-        assert_eq!(
-            a.points(),
-            b.points(),
-            "seed {seed}: composition engine must equal serial engine bit-for-bit"
-        );
     }
 }

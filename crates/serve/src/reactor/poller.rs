@@ -3,9 +3,9 @@
 //!
 //! Linux gets `epoll` (O(ready) wakeups); everything else gets a portable
 //! `poll(2)` set rebuilt per wait. Both present the same tiny interface:
-//! register a file descriptor with a token and an interest, wait, get
-//! `(token, readable, writable, hangup)` events back. Each backend has a
-//! direct unit test, so the fallback is covered on Linux too.
+//! register a file descriptor with a token for read readiness, wait, get
+//! `(token, readable, hangup)` events back. Each backend has a direct unit
+//! test, so the fallback is covered on Linux too.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -15,8 +15,6 @@ use std::os::unix::io::RawFd;
 pub enum Interest {
     /// Readable (and hangup/error, which are always reported).
     Read,
-    /// Readable or writable.
-    ReadWrite,
 }
 
 /// One readiness event.
@@ -26,8 +24,6 @@ pub struct Event {
     pub token: u64,
     /// Data (or EOF) is readable.
     pub readable: bool,
-    /// The socket can accept writes again.
-    pub writable: bool,
     /// The peer hung up or the descriptor errored.
     pub hangup: bool,
 }
@@ -50,47 +46,15 @@ impl Poller {
         Ok(poller)
     }
 
-    /// Starts watching `fd`, reporting events under `token`.
+    /// Starts watching `fd` for `interest`, reporting events under
+    /// `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let Interest::Read = interest;
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_ADD, fd, token, interest),
+            Poller::Epoll(p) => p.add(fd, token),
             Poller::Portable(p) => {
-                p.entries.push(Entry {
-                    fd,
-                    token,
-                    interest,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Changes the interest (or token) of a watched descriptor.
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_MOD, fd, token, interest),
-            Poller::Portable(p) => {
-                for entry in &mut p.entries {
-                    if entry.fd == fd {
-                        entry.token = token;
-                        entry.interest = interest;
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-            }
-        }
-    }
-
-    /// Stops watching `fd`. Call *before* the descriptor is closed.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(ffi::EPOLL_CTL_DEL, fd, 0, Interest::Read),
-            Poller::Portable(p) => {
-                p.entries.retain(|entry| entry.fd != fd);
+                p.entries.push(Entry { fd, token });
                 Ok(())
             }
         }
@@ -120,10 +84,7 @@ mod ffi {
 
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
     pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
     pub const EPOLLERR: u32 = 0x8;
     pub const EPOLLHUP: u32 = 0x10;
     pub const EPOLLRDHUP: u32 = 0x2000;
@@ -167,16 +128,13 @@ impl Epoll {
         })
     }
 
-    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn add(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         let mut event = ffi::EpollEvent {
-            events: match interest {
-                Interest::Read => ffi::EPOLLIN | ffi::EPOLLRDHUP,
-                Interest::ReadWrite => ffi::EPOLLIN | ffi::EPOLLOUT | ffi::EPOLLRDHUP,
-            },
+            events: ffi::EPOLLIN | ffi::EPOLLRDHUP,
             data: token,
         };
         // SAFETY: `event` outlives the call; the kernel copies it.
-        let rc = unsafe { ffi::epoll_ctl(self.epfd, op, fd, &mut event) };
+        let rc = unsafe { ffi::epoll_ctl(self.epfd, ffi::EPOLL_CTL_ADD, fd, &mut event) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -207,7 +165,6 @@ impl Epoll {
                 events.push(Event {
                     token: raw.data,
                     readable: bits & (ffi::EPOLLIN | ffi::EPOLLRDHUP) != 0,
-                    writable: bits & ffi::EPOLLOUT != 0,
                     hangup: bits & (ffi::EPOLLERR | ffi::EPOLLHUP) != 0,
                 });
             }
@@ -230,7 +187,6 @@ impl Drop for Epoll {
 
 mod poll_ffi {
     pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
     pub const POLLERR: i16 = 0x8;
     pub const POLLHUP: i16 = 0x10;
 
@@ -252,7 +208,6 @@ mod poll_ffi {
 struct Entry {
     fd: RawFd,
     token: u64,
-    interest: Interest,
 }
 
 /// The portable backend: the registration list is replayed into a fresh
@@ -277,10 +232,7 @@ impl PortablePoll {
         for entry in &self.entries {
             self.buf.push(poll_ffi::PollFd {
                 fd: entry.fd,
-                events: match entry.interest {
-                    Interest::Read => poll_ffi::POLLIN,
-                    Interest::ReadWrite => poll_ffi::POLLIN | poll_ffi::POLLOUT,
-                },
+                events: poll_ffi::POLLIN,
                 revents: 0,
             });
         }
@@ -303,7 +255,6 @@ impl PortablePoll {
                 events.push(Event {
                     token: entry.token,
                     readable: bits & (poll_ffi::POLLIN | poll_ffi::POLLHUP) != 0,
-                    writable: bits & poll_ffi::POLLOUT != 0,
                     hangup: bits & (poll_ffi::POLLERR | poll_ffi::POLLHUP) != 0,
                 });
             }
@@ -346,21 +297,6 @@ mod tests {
         assert!(event.readable);
         let mut byte = [0u8; 8];
         assert_eq!(rx.read(&mut byte).expect("read"), 1);
-
-        // Write interest on an idle socket reports writable immediately.
-        poller
-            .modify(rx.as_raw_fd(), 7, Interest::ReadWrite)
-            .expect("modify");
-        poller.wait(&mut events, Some(1000)).expect("wait");
-        assert!(events.iter().any(|e| e.token == 7 && e.writable));
-
-        poller.deregister(rx.as_raw_fd()).expect("deregister");
-        tx.write_all(b"y").expect("write");
-        poller.wait(&mut events, Some(0)).expect("wait");
-        assert!(
-            events.iter().all(|e| e.token != 7),
-            "deregistered fd is silent"
-        );
     }
 
     #[cfg(target_os = "linux")]

@@ -13,7 +13,8 @@ use uptime_suite::core::{
     TcoModel,
 };
 use uptime_suite::optimizer::{
-    branch_bound, exhaustive, pruned, Candidate, ComponentChoices, Objective, SearchSpace,
+    composition_bnb, exhaustive, pruned, Candidate, ComponentChoices, CompositionSpace, Objective,
+    SearchSpace,
 };
 
 /// Builds a synthetic space: each component has a free baseline plus
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let space = synthetic_space(n, k);
             let full = exhaustive::search(&space, &model, Objective::MinTco);
             let fast = pruned::search(&space, &model, Objective::MinTco);
-            let bb = branch_bound::search(&space, &model);
+            let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
             let best = full.best().unwrap().tco().total();
             let agree = fast.best().unwrap().tco().total() == best
                 && bb.best().unwrap().tco().total() == best;

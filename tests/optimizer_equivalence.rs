@@ -7,7 +7,8 @@ use uptime_suite::core::{
     TcoModel,
 };
 use uptime_suite::optimizer::{
-    branch_bound, exhaustive, greedy, pruned, Candidate, ComponentChoices, Objective, SearchSpace,
+    composition_bnb, exhaustive, greedy, pruned, Candidate, ComponentChoices, CompositionSpace,
+    Objective, SearchSpace,
 };
 
 /// Strategy: one component with a free baseline plus up to 2 HA options.
@@ -76,7 +77,7 @@ proptest! {
     fn exact_searches_agree(space in space_strategy(), model in model_strategy()) {
         let full = exhaustive::search(&space, &model, Objective::MinTco);
         let fast = pruned::search(&space, &model, Objective::MinTco);
-        let bb = branch_bound::search(&space, &model);
+        let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
         let best = full.best().unwrap().tco().total();
         prop_assert_eq!(fast.best().unwrap().tco().total(), best);
         prop_assert_eq!(bb.best().unwrap().tco().total(), best);

@@ -126,22 +126,24 @@ fn sla_violation_column() {
     assert_eq!(no_violation, vec![5, 8]);
 }
 
-/// The factorized fast path reproduces the paper's golden numbers exactly:
+/// The factorized fast path (the composition kernel on the paper's
+/// pure-series chain) reproduces the paper's golden numbers exactly:
 /// option #1 (all baseline) shows `U_s` = 92.17 %, 43 billed slippage
 /// hours, $4300 TCO; option #3 (RAID-1 only) shows `U_s` = 96.78 % at
 /// $1250 and is the streaming argmin.
 #[test]
 fn fast_path_reproduces_golden_numbers() {
-    use uptime_suite::optimizer::{fast, FastEvaluator};
+    use uptime_suite::optimizer::{composition, CompositionEvaluator, CompositionSpace};
 
-    let space = SearchSpace::from_catalog(
+    let serial = SearchSpace::from_catalog(
         &case_study::catalog(),
         &case_study::cloud_id(),
         &ComponentKind::paper_tiers(),
     )
     .unwrap();
+    let space = CompositionSpace::from_serial(&serial);
     let model = case_study::tco_model();
-    let engine = FastEvaluator::new(&space, &model);
+    let engine = CompositionEvaluator::new(&space, &model);
 
     // Option #1: no HA anywhere.
     let option1 = engine.evaluate(&[0, 0, 0]);
@@ -163,7 +165,7 @@ fn fast_path_reproduces_golden_numbers() {
     assert!((option3.tco().total().value() - 1250.0).abs() < 0.5);
 
     // The streaming search lands on option #3 having visited all 8.
-    let outcome = fast::search(&space, &model, Objective::MinTco);
+    let outcome = composition::search(&space, &model, Objective::MinTco);
     assert_eq!(outcome.best().unwrap().assignment(), &[0, 1, 0]);
     assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
     assert_eq!(outcome.stats().evaluated, 8);
