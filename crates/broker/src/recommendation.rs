@@ -301,19 +301,15 @@ mod tests {
         let model = case_study::tco_model();
         let e = Evaluation::evaluate(&space, &model, assignment);
         let meets = model.sla().is_met_by(e.uptime().availability());
-        let costs = assignment
+        let (labels, costs) = assignment
             .iter()
             .zip(space.components())
-            .map(|(&idx, comp)| comp.candidates()[idx].monthly_cost())
-            .collect();
-        RankedOption::new(
-            n,
-            e.labels(&space).iter().map(|s| (*s).to_owned()).collect(),
-            vec![HaMethodId::new("x"); 3],
-            costs,
-            e,
-            meets,
-        )
+            .map(|(&idx, comp)| {
+                let candidate = &comp.candidates()[idx];
+                (candidate.label().to_owned(), candidate.monthly_cost())
+            })
+            .unzip();
+        RankedOption::new(n, labels, vec![HaMethodId::new("x"); 3], costs, e, meets)
     }
 
     fn cloud_rec() -> CloudRecommendation {

@@ -33,7 +33,7 @@
 //! ## Naming convention
 //!
 //! Metric names are `layer.subsystem.name` — e.g.
-//! `optimizer.fast.variants`, `broker.sync.attempts`,
+//! `optimizer.composition.variants`, `broker.sync.attempts`,
 //! `sim.events.processed`. Span metrics append a suffix: `<span>.ns` and
 //! `<span>.calls`. The convention is documented in DESIGN.md §10 and is
 //! load-bearing for the Prometheus exporter, which rewrites dots to
@@ -48,12 +48,12 @@
 //! registry.counter_add("broker.sync.retries", 3);
 //! registry.observe("broker.sync.attempts", 2.0);
 //! {
-//!     let _span = uptime_obs::span!(&registry, "optimizer.fast.search");
+//!     let _span = uptime_obs::span!(&registry, "optimizer.composition.search");
 //!     // ... timed work ...
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("broker.sync.retries"), Some(3));
-//! assert_eq!(snapshot.counter("optimizer.fast.search.calls"), Some(1));
+//! assert_eq!(snapshot.counter("optimizer.composition.search.calls"), Some(1));
 //! let json = uptime_obs::export::to_json(&snapshot);
 //! assert!(json.contains("\"broker.sync.retries\""));
 //! ```

@@ -64,10 +64,12 @@
 //!
 //! A spine leaf with no structural op before the next leaf (every leaf of
 //! a pure-series space, and the spine runs of the archetypes) changes only
-//! the serial accumulators. The cursor and the branch-and-bound descent
-//! take that step as one `Accum::push`, without copying the frame stack,
-//! so pure-series search runs at serial speed with no second engine —
-//! decided per leaf from the space's own shape.
+//! the serial accumulators. The cursor takes that step as one
+//! `Accum::push` and writes nothing else until a refresh reaches a
+//! structural step; the bounded descents bound a spine child from a
+//! register-held accumulator and write its fold state only when they
+//! descend into it. Pure-series search so runs at serial speed with no
+//! second engine — decided per leaf from the space's own shape.
 
 use std::fmt;
 
@@ -958,9 +960,10 @@ impl CompositionCursor<'_, '_> {
     fn refresh_from(&mut self, p: usize) {
         // Until the first structural step of a refresh, every spine step's
         // target already holds the right mask, masked cost and (empty)
-        // frame stack: nothing left of `p` changed and the topology is
-        // fixed. Those steps push the serial accumulators alone — every
-        // step of a pure-series space.
+        // frame stack: nothing left of `p` changed, the topology is fixed,
+        // and a fresh cursor's states start as copies of the base state.
+        // Those steps push the serial accumulators alone — every step of a
+        // pure-series space.
         let spine_step = self.eval.space.spine_step();
         let mut i = p;
         while i < self.digits.len() && spine_step[i] {

@@ -104,6 +104,17 @@ pub struct BnbStats {
     pub variants_skipped: u64,
 }
 
+impl BnbStats {
+    /// Adds another worker's tree-shape counts (not its thread count).
+    pub(crate) fn add(&mut self, other: &BnbStats) {
+        self.tasks += other.tasks;
+        self.nodes_visited += other.nodes_visited;
+        self.leaves_evaluated += other.leaves_evaluated;
+        self.subtrees_pruned += other.subtrees_pruned;
+        self.variants_skipped += other.variants_skipped;
+    }
+}
+
 /// Per-leaf suffix aggregates of the bound. Shared with
 /// [`crate::pareto_bnb`]'s frontier prune.
 pub(crate) struct Bounds {
@@ -305,7 +316,6 @@ pub fn search_with_stats(
     let threads = resolve_threads(threads);
     let eval = CompositionEvaluator::new(space, model);
     let terms = eval.terms();
-    let n = terms.len();
     let bounds = Bounds::new(space, terms);
 
     // Seed the incumbent with two cheap achieved TCOs so the very first
@@ -323,17 +333,12 @@ pub fn search_with_stats(
     let (split_depth, task_count) = task_plan(terms, threads);
     let next_task = AtomicUsize::new(0);
     let per_worker = run_workers(threads, || -> (TaskWins, BnbStats) {
-        let mut walker = Walker {
+        let mut descent = Descent::new(&eval, &bounds);
+        let mut walk = MinTcoWalk {
             model,
-            eval: &eval,
-            terms,
-            spine_step: space.spine_step(),
             bounds: &bounds,
             incumbent: &incumbent,
-            digits: vec![0usize; n],
-            states: vec![eval.base_state(); n + 1],
             best: None,
-            stats: BnbStats::default(),
         };
         let mut found = Vec::new();
         loop {
@@ -341,21 +346,12 @@ pub fn search_with_stats(
             if task >= task_count {
                 break;
             }
-            walker.stats.tasks += 1;
-            walker.best = None;
-            seed_prefix(
-                &eval,
-                &mut walker.digits,
-                &mut walker.states,
-                task,
-                split_depth,
-            );
-            walker.enter(split_depth);
-            if let Some((key, digits)) = walker.best.take() {
+            descent.run(&mut walk, task, split_depth);
+            if let Some((key, digits)) = walk.best.take() {
                 found.push((task, key, digits));
             }
         }
-        (found, walker.stats)
+        (found, descent.stats)
     });
 
     let mut stats = BnbStats {
@@ -364,11 +360,7 @@ pub fn search_with_stats(
     };
     let mut candidates: TaskWins = Vec::new();
     for (found, worker_stats) in per_worker {
-        stats.tasks += worker_stats.tasks;
-        stats.nodes_visited += worker_stats.nodes_visited;
-        stats.leaves_evaluated += worker_stats.leaves_evaluated;
-        stats.subtrees_pruned += worker_stats.subtrees_pruned;
-        stats.variants_skipped += worker_stats.variants_skipped;
+        stats.add(&worker_stats);
         candidates.extend(found);
     }
 
@@ -467,80 +459,90 @@ pub(crate) fn run_workers<T: Send>(threads: usize, worker: impl Fn() -> T + Sync
     .expect("thread scope panicked")
 }
 
-/// Decodes a prefix task index (mixed radix over leaves `0..split_depth`,
-/// most significant first — the same flat-index layout
-/// [`CompositionEvaluator::cursor_at`] shards by) into `digits` and folds
-/// the prefix states.
-pub(crate) fn seed_prefix(
-    eval: &CompositionEvaluator<'_>,
-    digits: &mut [usize],
-    states: &mut [FoldState],
-    task: usize,
-    split_depth: usize,
-) {
-    let terms = eval.terms();
-    let mut rem = task;
-    for pos in (0..split_depth).rev() {
-        let radix = terms[pos].len();
-        digits[pos] = rem % radix;
-        rem /= radix;
-    }
-    debug_assert_eq!(rem, 0, "task index out of range");
-    for (pos, &digit) in digits[..split_depth].iter().enumerate() {
-        eval.step_into(states, pos, digit);
-    }
+/// The decisions a bounded depth-first walk makes at each node: the
+/// argmin's incumbent test and leaf, or the frontier's archive test and
+/// leaf. [`Descent`] owns the walk itself.
+pub(crate) trait Walk {
+    /// Whether the subtree whose next unassigned leaf is `depth` can be
+    /// cut (see [`Bounds::ideal`] for `spine` and `masked`).
+    fn prunes(&self, depth: usize, spine: &Accum, masked: Masked) -> bool;
+
+    /// Visits the complete assignment `digits`, whose combined
+    /// accumulator is `acc`.
+    fn leaf(&mut self, digits: &[usize], acc: &Accum);
 }
 
-/// One worker's depth-first descent. The digit stack and per-depth fold
-/// states are reused across tasks, so the hot loop allocates nothing once
-/// frame stacks have grown to the topology depth.
-struct Walker<'a> {
-    model: &'a TcoModel,
+/// One worker's depth-first descent over the linearized leaves. The digit
+/// stack and per-depth fold states are reused across tasks, so the hot
+/// loop allocates nothing once frame stacks have grown to the topology
+/// depth.
+pub(crate) struct Descent<'a> {
     eval: &'a CompositionEvaluator<'a>,
+    // Per-node lookups, held here rather than behind `eval`.
     terms: &'a [Vec<CandidateTerms>],
     spine_step: &'a [bool],
-    bounds: &'a Bounds,
-    incumbent: &'a AtomicU64,
+    suffix_size: &'a [u64],
     digits: Vec<usize>,
     /// `states[d]` = fold state just before leaf `d`; `states[n]` = final.
     states: Vec<FoldState>,
-    best: Option<(RankKey, Vec<usize>)>,
-    stats: BnbStats,
+    /// The tree walked so far (`threads` stays 0).
+    pub(crate) stats: BnbStats,
 }
 
-impl Walker<'_> {
-    /// Whether the subtree at `depth` (see [`Bounds::ideal`]) is bounded
-    /// out by the shared incumbent. Runs once per child of every visited
-    /// node; it and the bound are forced inline (left to the heuristics,
-    /// the 6^12 one-thread walk ran ~20 % slower).
-    #[inline(always)]
-    fn prunes(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
-        let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
-        self.bounds.lower_bound(self.model, depth, spine, masked) - BOUND_SLACK > incumbent
+impl<'a> Descent<'a> {
+    pub(crate) fn new(eval: &'a CompositionEvaluator<'a>, bounds: &'a Bounds) -> Self {
+        let n = eval.terms().len();
+        Descent {
+            eval,
+            terms: eval.terms(),
+            spine_step: eval.space().spine_step(),
+            suffix_size: &bounds.suffix_size,
+            digits: vec![0; n],
+            states: vec![eval.base_state(); n + 1],
+            stats: BnbStats::default(),
+        }
+    }
+
+    /// Walks the subtree of prefix task `task`: a mixed-radix index over
+    /// leaves `0..split_depth`, most significant first — the same
+    /// flat-index layout [`CompositionEvaluator::cursor_at`] shards by.
+    pub(crate) fn run<W: Walk>(&mut self, walk: &mut W, task: usize, split_depth: usize) {
+        self.stats.tasks += 1;
+        let mut rem = task;
+        for pos in (0..split_depth).rev() {
+            let radix = self.terms[pos].len();
+            self.digits[pos] = rem % radix;
+            rem /= radix;
+        }
+        debug_assert_eq!(rem, 0, "task index out of range");
+        for (pos, &digit) in self.digits[..split_depth].iter().enumerate() {
+            self.eval.step_into(&mut self.states, pos, digit);
+        }
+        if split_depth < self.digits.len() {
+            let state = &self.states[split_depth];
+            if walk.prunes(split_depth, &state.spine, state.masked()) {
+                self.prune(split_depth);
+                return;
+            }
+        }
+        self.descend(walk, split_depth);
     }
 
     fn prune(&mut self, depth: usize) {
         self.stats.subtrees_pruned += 1;
-        self.stats.variants_skipped += self.bounds.suffix_size[depth];
+        self.stats.variants_skipped += self.suffix_size[depth];
     }
 
-    /// Bound-checks the subtree rooted at `depth`, then descends into it.
-    fn enter(&mut self, depth: usize) {
-        if depth < self.digits.len() {
-            let state = &self.states[depth];
-            if self.prunes(depth, &state.spine, state.masked()) {
-                self.prune(depth);
-                return;
-            }
-        }
-        self.descend(depth);
+    fn leaf<W: Walk>(&mut self, walk: &mut W, acc: &Accum) {
+        self.stats.leaves_evaluated += 1;
+        walk.leaf(&self.digits, acc);
     }
 
-    fn descend(&mut self, depth: usize) {
+    fn descend<W: Walk>(&mut self, walk: &mut W, depth: usize) {
         let n = self.digits.len();
         if depth == n {
             let acc = self.states[n].combined();
-            self.leaf(&acc);
+            self.leaf(walk, &acc);
             return;
         }
         self.stats.nodes_visited += 1;
@@ -556,18 +558,18 @@ impl Walker<'_> {
                 self.digits[depth] = idx;
                 let spine = base.push(t);
                 if last {
-                    self.leaf(&masked.combine(&spine));
+                    self.leaf(walk, &masked.combine(&spine));
                     continue;
                 }
                 // Bound each child before recursing: one prune here skips
                 // the whole child subtree without a stack frame.
-                if self.prunes(depth + 1, &spine, masked) {
+                if walk.prunes(depth + 1, &spine, masked) {
                     self.prune(depth + 1);
                     continue;
                 }
                 let (head, tail) = self.states.split_at_mut(depth + 1);
                 tail[0].set_spine_step(&head[depth], spine);
-                self.descend(depth + 1);
+                self.descend(walk, depth + 1);
             }
             return;
         }
@@ -577,19 +579,38 @@ impl Walker<'_> {
             let child = &self.states[depth + 1];
             if last {
                 let acc = child.combined();
-                self.leaf(&acc);
+                self.leaf(walk, &acc);
                 continue;
             }
-            if self.prunes(depth + 1, &child.spine, child.masked()) {
+            if walk.prunes(depth + 1, &child.spine, child.masked()) {
                 self.prune(depth + 1);
                 continue;
             }
-            self.descend(depth + 1);
+            self.descend(walk, depth + 1);
         }
     }
+}
 
-    fn leaf(&mut self, acc: &Accum) {
-        self.stats.leaves_evaluated += 1;
+/// The `MinTco` argmin walk: prunes on the shared incumbent, keeps the
+/// task's best leaf.
+struct MinTcoWalk<'a> {
+    model: &'a TcoModel,
+    bounds: &'a Bounds,
+    incumbent: &'a AtomicU64,
+    best: Option<(RankKey, Vec<usize>)>,
+}
+
+impl Walk for MinTcoWalk<'_> {
+    /// Runs once per child of every visited node; it and the bound are
+    /// forced inline (left to the heuristics, the 6^12 one-thread walk ran
+    /// ~20 % slower).
+    #[inline(always)]
+    fn prunes(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
+        let incumbent = f64::from_bits(self.incumbent.load(Ordering::Relaxed));
+        self.bounds.lower_bound(self.model, depth, spine, masked) - BOUND_SLACK > incumbent
+    }
+
+    fn leaf(&mut self, digits: &[usize], acc: &Accum) {
         let key = finish(self.model, acc).2;
         let improved = match &self.best {
             None => true,
@@ -604,9 +625,9 @@ impl Walker<'_> {
             if let Some((k, d)) = &mut self.best {
                 *k = key;
                 d.clear();
-                d.extend_from_slice(&self.digits);
+                d.extend_from_slice(digits);
             } else {
-                self.best = Some((key, self.digits.clone()));
+                self.best = Some((key, digits.to_vec()));
             }
         }
     }

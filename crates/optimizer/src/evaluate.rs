@@ -105,16 +105,6 @@ impl Evaluation {
     pub fn tco(&self) -> &TcoBreakdown {
         &self.tco
     }
-
-    /// Candidate labels for display, resolved against the space.
-    #[must_use]
-    pub fn labels<'a>(&self, space: &'a SearchSpace) -> Vec<&'a str> {
-        self.assignment
-            .iter()
-            .zip(space.components())
-            .map(|(&idx, comp)| comp.candidates()[idx].label())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -199,15 +189,6 @@ mod tests {
             Evaluation::evaluate(&space, &model, &assignment(true, true, true)).cardinality(),
             3
         );
-    }
-
-    #[test]
-    fn labels_resolve() {
-        let space = paper_space();
-        let model = case_study::tco_model();
-        let e = Evaluation::evaluate(&space, &model, &assignment(false, true, true));
-        let labels = e.labels(&space);
-        assert_eq!(labels, vec!["None", "RAID 1", "Dual Node GW Cluster"]);
     }
 
     #[test]

@@ -42,11 +42,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use serde::{Deserialize, Serialize};
 use uptime_core::{Probability, TcoModel, UptimeBreakdown, HOURS_PER_MONTH};
 
-use crate::composition::{
-    finish, Accum, CompositionEvaluator, CompositionSpace, FoldState, Masked,
-};
+use crate::composition::{finish, Accum, CompositionEvaluator, CompositionSpace, Masked};
 use crate::composition_bnb::{
-    resolve_threads, run_workers, seed_assignments, seed_prefix, task_plan, Bounds,
+    resolve_threads, run_workers, seed_assignments, task_plan, BnbStats, Bounds, Descent, Walk,
 };
 use crate::evaluate::Evaluation;
 use crate::pareto::ParetoPoint;
@@ -258,7 +256,6 @@ pub fn composition_search_with_threads(
     let threads = resolve_threads(threads);
     let eval = CompositionEvaluator::new(space, model);
     let terms = eval.terms();
-    let n = terms.len();
     let bounds = Bounds::new(space, terms);
     let margin = epsilon.max(0.0) + BOUND_SLACK;
 
@@ -276,38 +273,27 @@ pub fn composition_search_with_threads(
 
     let (split_depth, task_count) = task_plan(terms, threads);
     let next_task = AtomicUsize::new(0);
-    let per_worker = run_workers(threads, || -> (Vec<Survivor>, ParetoStats) {
+    let per_worker = run_workers(threads, || -> (Vec<Survivor>, BnbStats) {
         let mut archive = Archive::new(margin);
         for &(cost, up) in &seeds {
             archive.insert(cost, up);
         }
-        let mut walker = Walker {
+        let mut descent = Descent::new(&eval, &bounds);
+        let mut walk = FrontierWalk {
             model,
-            eval: &eval,
             bounds: &bounds,
             constraints,
-            digits: vec![0usize; n],
-            states: vec![eval.base_state(); n + 1],
             archive,
             found: Vec::new(),
-            stats: ParetoStats::default(),
         };
         loop {
             let task = next_task.fetch_add(1, Ordering::Relaxed);
             if task >= task_count {
                 break;
             }
-            walker.stats.tasks += 1;
-            seed_prefix(
-                &eval,
-                &mut walker.digits,
-                &mut walker.states,
-                task,
-                split_depth,
-            );
-            walker.enter(split_depth);
+            descent.run(&mut walk, task, split_depth);
         }
-        (walker.found, walker.stats)
+        (walk.found, descent.stats)
     });
 
     let (survivors, mut stats) = merge_workers(per_worker, threads);
@@ -510,22 +496,24 @@ fn naive_filter(evals: Vec<Evaluation>) -> Vec<ParetoPoint> {
 
 /// Sums worker stats and pools their survivors for the final sweep.
 fn merge_workers(
-    per_worker: Vec<(Vec<Survivor>, ParetoStats)>,
+    per_worker: Vec<(Vec<Survivor>, BnbStats)>,
     threads: usize,
 ) -> (Vec<Survivor>, ParetoStats) {
-    let mut stats = ParetoStats {
-        threads: threads as u64,
-        ..ParetoStats::default()
-    };
+    let mut tree = BnbStats::default();
     let mut survivors: Vec<Survivor> = Vec::new();
     for (found, worker_stats) in per_worker {
-        stats.tasks += worker_stats.tasks;
-        stats.nodes_visited += worker_stats.nodes_visited;
-        stats.leaves_evaluated += worker_stats.leaves_evaluated;
-        stats.subtrees_pruned += worker_stats.subtrees_pruned;
-        stats.variants_skipped += worker_stats.variants_skipped;
+        tree.add(&worker_stats);
         survivors.extend(found);
     }
+    let stats = ParetoStats {
+        threads: threads as u64,
+        tasks: tree.tasks,
+        nodes_visited: tree.nodes_visited,
+        leaves_evaluated: tree.leaves_evaluated,
+        subtrees_pruned: tree.subtrees_pruned,
+        variants_skipped: tree.variants_skipped,
+        frontier_size: 0,
+    };
     (survivors, stats)
 }
 
@@ -555,26 +543,23 @@ fn materialize(
     points
 }
 
-/// One worker's depth-first frontier descent.
-struct Walker<'a> {
+/// The frontier walk: prunes subtrees outside the SLO box or dominated by
+/// an achieved feasible point, keeps every feasible leaf the archive does
+/// not strictly dominate.
+struct FrontierWalk<'a> {
     model: &'a TcoModel,
-    eval: &'a CompositionEvaluator<'a>,
     bounds: &'a Bounds,
     constraints: &'a FrontierConstraints,
-    digits: Vec<usize>,
-    /// `states[d]` = fold state just before leaf `d`; `states[n]` = final.
-    states: Vec<FoldState>,
     archive: Archive,
     found: Vec<Survivor>,
-    stats: ParetoStats,
 }
 
-impl Walker<'_> {
+impl Walk for FrontierWalk<'_> {
     /// Whether the subtree at `depth` can be discarded: its cost floor
     /// breaks the cap, its availability ceiling misses the floor, or an
     /// achieved feasible point epsilon-dominates its ideal point (see
     /// [`Bounds::ideal`] for the arguments).
-    fn prunable(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
+    fn prunes(&self, depth: usize, spine: &Accum, masked: Masked) -> bool {
         let (cost_lb, avail_ub) = self.bounds.ideal(depth, spine, masked);
         let up_ub = Probability::saturating(avail_ub);
         if let Some(cap) = self.constraints.max_cost {
@@ -590,73 +575,7 @@ impl Walker<'_> {
         self.archive.dominates_bound(cost_lb, up_ub.value())
     }
 
-    fn prune(&mut self, depth: usize) {
-        self.stats.subtrees_pruned += 1;
-        self.stats.variants_skipped += self.bounds.suffix_size[depth];
-    }
-
-    fn enter(&mut self, depth: usize) {
-        if depth < self.digits.len() {
-            let state = &self.states[depth];
-            if self.prunable(depth, &state.spine, state.masked()) {
-                self.prune(depth);
-                return;
-            }
-        }
-        self.descend(depth);
-    }
-
-    fn descend(&mut self, depth: usize) {
-        let n = self.digits.len();
-        if depth == n {
-            let acc = self.states[n].combined();
-            self.leaf(&acc);
-            return;
-        }
-        self.stats.nodes_visited += 1;
-        let last = depth + 1 == n;
-        let terms = &self.eval.terms()[depth];
-        if self.eval.space().spine_step()[depth] {
-            // As in `composition_bnb`: bound a spine child from a
-            // register-held accumulator, write its state on descent.
-            let parent = &self.states[depth];
-            let (base, masked) = (parent.spine, parent.masked());
-            for (idx, t) in terms.iter().enumerate() {
-                self.digits[depth] = idx;
-                let spine = base.push(t);
-                if last {
-                    self.leaf(&masked.combine(&spine));
-                    continue;
-                }
-                if self.prunable(depth + 1, &spine, masked) {
-                    self.prune(depth + 1);
-                    continue;
-                }
-                let (head, tail) = self.states.split_at_mut(depth + 1);
-                tail[0].set_spine_step(&head[depth], spine);
-                self.descend(depth + 1);
-            }
-            return;
-        }
-        for idx in 0..terms.len() {
-            self.digits[depth] = idx;
-            self.eval.step_into(&mut self.states, depth, idx);
-            let child = &self.states[depth + 1];
-            if last {
-                let acc = child.combined();
-                self.leaf(&acc);
-                continue;
-            }
-            if self.prunable(depth + 1, &child.spine, child.masked()) {
-                self.prune(depth + 1);
-                continue;
-            }
-            self.descend(depth + 1);
-        }
-    }
-
-    fn leaf(&mut self, acc: &Accum) {
-        self.stats.leaves_evaluated += 1;
+    fn leaf(&mut self, digits: &[usize], acc: &Accum) {
         let (uptime, tco, key) = finish(self.model, acc);
         let cost = tco.ha_cost().value();
         let up = key.availability;
@@ -667,7 +586,7 @@ impl Walker<'_> {
             return;
         }
         if self.archive.insert(cost, up.value()) {
-            self.found.push((cost, up, self.digits.clone()));
+            self.found.push((cost, up, digits.to_vec()));
         }
     }
 }
