@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 use uptime_catalog::{CloudId, ComponentKind, HaMethodId};
 use uptime_core::MoneyPerMonth;
 use uptime_optimizer::{
-    composition_bnb, parallel, Candidate, ComponentChoices, CompositionSpace, Evaluation,
-    Objective, SearchSpace,
+    composition_bnb, parallel, Candidate, ComponentChoices, CompositionNode, CompositionSpace,
+    Evaluation, Objective,
 };
 
 use crate::error::BrokerError;
@@ -173,7 +173,7 @@ impl BrokerService {
             components.push(ComponentChoices::new(kind.label(), candidates)?);
             keys.push(tier_keys);
         }
-        let space = CompositionSpace::from_serial(&SearchSpace::new(components)?);
+        let space = CompositionSpace::new(CompositionNode::series(components))?;
         let searched = space.assignment_count();
 
         let model = request.tco_model();

@@ -772,8 +772,9 @@ impl BrokerService {
     /// A `topology` on the request replicates the tiers into that
     /// deployment archetype's series–parallel shape (see [`Archetype`]);
     /// without one the tiers form the paper's serial chain. Both are
-    /// searched by the same engines and ranked by the same table rule
-    /// (see [`Self::option_table`]).
+    /// searched by the same engines and ranked by the same table rule:
+    /// the full table up to 4,096 variants under [`SearchEngine::Exhaustive`],
+    /// otherwise the winner plus the declared as-is option.
     ///
     /// # Errors
     ///
