@@ -1718,14 +1718,10 @@ mod tests {
         assert_eq!(plan.steps().len(), 3);
     }
 
-    #[test]
-    fn serial_tables_past_the_cap_keep_the_winner_and_as_is() {
-        // 13 Compute tiers: 2^13 = 8,192 variants, past TABLE_CAP, so the
-        // exhaustive engine streams the space and the table keeps only
-        // the winner and the declared as-is option.
-        let tiers = vec![ComponentKind::Compute; 13];
-        let request = SolutionRequest::builder()
-            .tiers(tiers.clone())
+    /// 13 Compute tiers: 2^13 = 8,192 variants, past [`TABLE_CAP`].
+    fn thirteen_compute_tiers() -> SolutionRequest {
+        SolutionRequest::builder()
+            .tiers(vec![ComponentKind::Compute; 13])
             .sla_percent(98.0)
             .unwrap()
             .penalty_per_hour(100.0)
@@ -1733,7 +1729,14 @@ mod tests {
             .cloud(case_study::cloud_id())
             .as_is(vec![HaMethodId::new("vmware-ha-3p1"); 13])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn serial_tables_past_the_cap_keep_the_winner_and_as_is() {
+        // Past TABLE_CAP the exhaustive engine streams the space and the
+        // table keeps only the winner and the declared as-is option.
+        let request = thirteen_compute_tiers();
         let rec = service().recommend(&request).unwrap();
         let cloud = &rec.clouds()[0];
         assert_eq!(cloud.stats().evaluated, 8192);
@@ -1756,6 +1759,76 @@ mod tests {
         // The paper's 8-variant request keeps every row.
         let paper = service().recommend(&paper_request()).unwrap();
         assert_eq!(paper.clouds()[0].options().len(), 8);
+    }
+
+    #[test]
+    fn full_tables_report_the_exhaustive_counters() {
+        // Every full table, serial or archetype, is one
+        // `optimizer.exhaustive.search` call over the whole space; a
+        // trimmed table streams the space and reports no exhaustive
+        // counter.
+        let recorded = |request: &SolutionRequest| {
+            let registry = Arc::new(uptime_obs::MetricsRegistry::new());
+            service()
+                .with_recorder(registry.clone())
+                .recommend(request)
+                .unwrap();
+            let snap = registry.snapshot();
+            [
+                "optimizer.exhaustive.variants",
+                "optimizer.exhaustive.search.calls",
+                "optimizer.composition.variants",
+            ]
+            .map(|name| snap.counter(name))
+        };
+        assert_eq!(recorded(&paper_request()), [Some(8), Some(1), None]);
+        let regional = Archetype::Regional
+            .space(&case_study::catalog(), &case_study::cloud_id())
+            .unwrap();
+        let variants = u64::try_from(regional.assignment_count()).unwrap();
+        assert_eq!(
+            recorded(&archetype_request("regional")),
+            [Some(variants), Some(1), None]
+        );
+        assert_eq!(
+            recorded(&thirteen_compute_tiers()),
+            [None, None, Some(8192)]
+        );
+    }
+
+    #[test]
+    fn bnb_as_is_rows_match_the_exhaustive_table() {
+        // A trimmed table evaluates the declared as-is option with the
+        // kernel that fills the full table, so the as-is row of a
+        // branch-and-bound answer is that option's exhaustive row, bit for
+        // bit — checked for every option on each hybrid cloud.
+        let catalog = uptime_catalog::extended::hybrid_catalog;
+        let exhaustive = BrokerService::new(catalog());
+        let bnb = BrokerService::new(catalog()).with_engine(SearchEngine::BranchBound);
+        let request = |cloud: &CloudId, as_is: &[HaMethodId]| {
+            SolutionRequest::builder()
+                .tiers(ComponentKind::paper_tiers())
+                .sla_percent(98.0)
+                .unwrap()
+                .penalty_per_hour(100.0)
+                .unwrap()
+                .cloud(cloud.clone())
+                .as_is(as_is.to_vec())
+                .build()
+                .unwrap()
+        };
+        let paper_as_is = paper_request().as_is().unwrap().to_vec();
+        for cloud in catalog().cloud_ids() {
+            let table = exhaustive.recommend(&request(cloud, &paper_as_is)).unwrap();
+            let options = table.clouds()[0].options();
+            assert_eq!(options.len(), 36);
+            for option in options {
+                let answer = bnb.recommend(&request(cloud, option.method_ids())).unwrap();
+                let as_is = answer.clouds()[0].as_is().unwrap();
+                assert_eq!(as_is.method_ids(), option.method_ids());
+                assert_eq!(as_is.evaluation(), option.evaluation(), "{cloud}");
+            }
+        }
     }
 
     #[test]

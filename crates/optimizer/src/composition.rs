@@ -62,14 +62,14 @@
 //!
 //! # The spine step
 //!
-//! A spine leaf with no structural op before the next leaf (every leaf of
-//! a pure-series space, and the spine runs of the archetypes) changes only
+//! A spine leaf with no structural op before the next leaf (every leaf of a
+//! pure-series space, and the spine runs of the archetypes) changes only
 //! the serial accumulators. The cursor takes that step as one
-//! `Accum::push` and writes nothing else until a refresh reaches a
-//! structural step; the bounded descents bound a spine child from a
-//! register-held accumulator and write its fold state only when they
-//! descend into it. Pure-series search so runs at serial speed with no
-//! second engine — decided per leaf from the space's own shape.
+//! `Accum::push`, copying the mask and masked cost and opening no frame;
+//! the bounded descents bound a spine child from a register-held
+//! accumulator and write its fold state only when they descend into it.
+//! Pure-series search so runs at serial speed with no second engine —
+//! decided per leaf from the space's own shape.
 
 use std::fmt;
 
@@ -958,20 +958,7 @@ impl CompositionCursor<'_, '_> {
 
     /// Recomputes `states[p+1..]` after digits `p..` changed.
     fn refresh_from(&mut self, p: usize) {
-        // Until the first structural step of a refresh, every spine step's
-        // target already holds the right mask, masked cost and (empty)
-        // frame stack: nothing left of `p` changed, the topology is fixed,
-        // and a fresh cursor's states start as copies of the base state.
-        // Those steps push the serial accumulators alone — every step of a
-        // pure-series space.
-        let spine_step = self.eval.space.spine_step();
-        let mut i = p;
-        while i < self.digits.len() && spine_step[i] {
-            let t = &self.eval.terms[i][self.digits[i]];
-            self.states[i + 1].spine = self.states[i].spine.push(t);
-            i += 1;
-        }
-        for i in i..self.digits.len() {
+        for i in p..self.digits.len() {
             self.eval.step_into(&mut self.states, i, self.digits[i]);
         }
     }

@@ -175,20 +175,9 @@ impl Bounds {
     /// the rest of its fold (see [`FoldState::masked`]).
     #[inline(always)]
     pub(crate) fn ideal(&self, depth: usize, spine: &Accum, masked: Masked) -> (f64, f64) {
-        let par_max = self.par_suffix_max[depth];
-        // On a serial stretch — no masked leaf or parallel subtree before
-        // `depth`, none after it; every depth of a serial chain — the mask
-        // and `parMaxA` are 1.0 and the masked cost is 0.0. Multiplying by
-        // 1.0 and adding 0.0 are exact, so the short form is bit-identical
-        // and keeps two multiplies and an add off the walk's critical path.
-        if masked.mask == 1.0 && masked.extra_cost == 0.0 && par_max == 1.0 {
-            return (
-                spine.cost + self.suffix_min_cost[depth],
-                spine.avail * self.spine_suffix_max[depth],
-            );
-        }
         let cost_lb = spine.cost + masked.extra_cost + self.suffix_min_cost[depth];
-        let avail_ub = spine.avail * masked.mask * self.spine_suffix_max[depth] * par_max;
+        let avail_ub =
+            spine.avail * masked.mask * self.spine_suffix_max[depth] * self.par_suffix_max[depth];
         (cost_lb, avail_ub)
     }
 

@@ -23,18 +23,18 @@
 //!   incumbent. Exact for `MinTco`, thread-count-independent results.
 //! * [`pareto_bnb::composition_search`] — the cost/uptime Pareto frontier
 //!   by epsilon-dominance branch-and-bound with hard SLO box constraints;
-//!   [`pareto_bnb::composition_sweep`] is its exhaustive twin.
+//!   [`pareto_bnb::composition_sweep`] is its exhaustive twin, and
+//!   [`pareto::frontier`] the unconstrained sweep of a serial chain.
 //! * [`archetypes`] generates the deployment-archetype survey's six shapes
 //!   as ready-made composition spaces.
 //!
 //! Oracles and ablations stay beside the kernel: the naive
-//! [`Evaluation::evaluate`], [`pareto::frontier`] and
-//! [`pareto_bnb::naive_frontier`]; the paper's §III.C [`pruned::search`]
-//! (evaluate by ascending number of clustered components and skip
-//! supersets of any SLA-satisfying permutation — exact, see the module
-//! docs for the cost argument, which is sharper than the paper's uptime
-//! argument); the [`greedy::search`] / [`anneal::search`] heuristics; and
-//! the [`sweep`] of SLA targets.
+//! [`Evaluation::evaluate`] and [`pareto_bnb::naive_frontier`]; the paper's
+//! §III.C [`pruned::search`] (evaluate by ascending number of clustered
+//! components and skip supersets of any SLA-satisfying permutation — exact,
+//! see the module docs for the cost argument, which is sharper than the
+//! paper's uptime argument); the [`greedy::search`] / [`anneal::search`]
+//! heuristics; and the [`sweep`] of SLA targets.
 //!
 //! # Example: the paper's case study
 //!

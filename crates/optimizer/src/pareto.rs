@@ -4,18 +4,16 @@
 //! client with the *frontier* of deployments where spending more strictly
 //! buys more uptime — useful when the SLA itself is negotiable.
 //!
-//! The sweep runs on the composition kernel's cursor over the pure-series
-//! space: one pass collects `(HA cost, uptime)` facts from the cached
-//! per-candidate terms (no per-assignment system rebuild, no `Evaluation`
-//! allocation), and only the surviving frontier points are materialized. Equivalence
-//! with the naive dominance-filter definition is pinned by
+//! [`frontier`] is [`crate::pareto_bnb`]'s unconstrained exhaustive sweep
+//! over the paper's serial chain. Equivalence with the naive
+//! dominance-filter definition is pinned by
 //! `frontier_matches_naive_dominance_filter` below.
 
 use serde::{Deserialize, Serialize};
-use uptime_core::{MoneyPerMonth, Probability, TcoModel};
+use uptime_core::TcoModel;
 
-use crate::composition::{CompositionEvaluator, CompositionSpace};
 use crate::evaluate::Evaluation;
+use crate::pareto_bnb::{self, FrontierConstraints};
 use crate::space::SearchSpace;
 
 /// One point on the cost/uptime frontier.
@@ -93,47 +91,7 @@ impl ParetoPoint {
 /// ```
 #[must_use]
 pub fn frontier(space: &SearchSpace, model: &TcoModel) -> Vec<ParetoPoint> {
-    let space = CompositionSpace::from_serial(space);
-    let eval = CompositionEvaluator::new(&space, model);
-
-    // One streaming pass over the cached terms: compact facts only, no
-    // Evaluation until a point survives the sweep.
-    let mut facts: Vec<(MoneyPerMonth, Probability, u128)> = Vec::new();
-    let mut cursor = eval.cursor();
-    let mut index = 0u128;
-    loop {
-        let cost = MoneyPerMonth::new(cursor.accum().cost)
-            .expect("candidate costs are finite and non-negative");
-        facts.push((cost, cursor.rank_key().availability, index));
-        index += 1;
-        if !cursor.advance() {
-            break;
-        }
-    }
-
-    // Sort by cost ascending, uptime descending, flat index ascending:
-    // the explicit index tie-break pins which assignment represents a
-    // frontier point without leaning on sort stability.
-    facts.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| b.1.cmp(&a.1))
-            .then(a.2.cmp(&b.2))
-    });
-
-    // The strict `uptime > best` sweep both filters dominated points and
-    // deduplicates equal `(cost, uptime)` pairs in one pass — a repeat of
-    // the current best uptime is never an improvement.
-    let mut out: Vec<ParetoPoint> = Vec::new();
-    let mut best_uptime: Option<Probability> = None;
-    for (_, uptime, flat_index) in facts {
-        if best_uptime.is_none_or(|b| uptime > b) {
-            best_uptime = Some(uptime);
-            out.push(ParetoPoint {
-                evaluation: eval.cursor_at(flat_index).evaluation(),
-            });
-        }
-    }
-    out
+    pareto_bnb::sweep(space, model, &FrontierConstraints::NONE, 0.0).into_points()
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
 //! Epsilon-dominance branch-and-bound Pareto frontier extraction.
 //!
-//! [`crate::pareto::frontier`] sweeps every assignment; this module puts
-//! frontier extraction on the bounded fast path. A depth-first walk over
-//! the composition kernel's cached terms carries the admissible per-prefix
-//! aggregates of `composition_bnb::Bounds`: at depth `d` the *ideal point*
-//! of the subtree — its cost floor and its availability ceiling — bounds
-//! every completion in both frontier axes at once. The subtree is
-//! discarded when an already-achieved feasible point
+//! This module extracts the cost/uptime frontier on the bounded fast path
+//! ([`sweep`] and [`composition_sweep`] are its exhaustive twins, and
+//! [`crate::pareto::frontier`] the unconstrained serial sweep). A
+//! depth-first walk over the composition kernel's cached terms carries the
+//! admissible per-prefix aggregates of `composition_bnb::Bounds`: at depth
+//! `d` the *ideal point* of the subtree — its cost floor and its
+//! availability ceiling — bounds every completion in both frontier axes at
+//! once. The subtree is discarded when an already-achieved feasible point
 //! **epsilon-dominates** that ideal point: beats the cost floor by more
 //! than `ε + slack` *and* the availability ceiling by more than
-//! `ε + slack`. Every leaf inside such a subtree is strictly dominated
-//! by an achieved point, so pruning never removes a frontier achiever —
-//! which is exactly why the output is thread-count-independent (see
-//! DESIGN.md §16 for the full argument):
+//! `ε + slack`. Every leaf inside such a subtree is strictly dominated by
+//! an achieved point, so pruning never removes a frontier achiever — which
+//! is exactly why the output is thread-count-independent (see DESIGN.md
+//! §16 for the full argument):
 //!
 //! 1. survivors always include *every* assignment whose `(cost, uptime)`
 //!    pair is non-dominated within the feasible set, regardless of how
