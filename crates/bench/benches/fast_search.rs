@@ -15,8 +15,7 @@ use uptime_bench::{
 };
 use uptime_core::TcoModel;
 use uptime_optimizer::{
-    composition, parallel, CompositionEvaluator, CompositionSpace, Evaluation, Objective,
-    SearchSpace,
+    composition, CompositionEvaluator, CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
 /// The pre-PR-2 search loop: naive evaluation of every assignment.
@@ -37,9 +36,6 @@ fn bench_space(c: &mut Criterion, name: &str, space: &SearchSpace, model: &TcoMo
     });
     group.bench_function("fast_streaming", |b| {
         b.iter(|| composition::search(black_box(&chain), model, Objective::MinTco))
-    });
-    group.bench_function("fast_parallel_streaming", |b| {
-        b.iter(|| parallel::search_best(black_box(&chain), model, Objective::MinTco))
     });
     group.finish();
 }

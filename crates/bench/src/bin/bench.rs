@@ -14,9 +14,7 @@ use uptime_bench::{
     hybrid_metacloud_space, paper_model, paper_space, synthetic_model, synthetic_space,
 };
 use uptime_core::TcoModel;
-use uptime_optimizer::{
-    composition, parallel, CompositionSpace, Evaluation, Objective, SearchSpace,
-};
+use uptime_optimizer::{composition, CompositionSpace, Evaluation, Objective, SearchSpace};
 
 /// The pre-PR-2 loop: clone clusters, rebuild the `SystemSpec`, evaluate —
 /// for every assignment — then rank.
@@ -47,30 +45,18 @@ struct Row {
     naive_ns: u128,
     fast_ns: u128,
     fast_noop_ns: u128,
-    parallel_ns: u128,
     spans: serde_json::Value,
 }
 
-/// Runs each instrumented engine once against a live registry and distills
-/// the per-stage span breakdown (histograms named `*.ns`, plus counters)
-/// for the report.
+/// Runs the instrumented streaming search once against a live registry
+/// and distills the per-stage span breakdown (histograms named `*.ns`,
+/// plus counters) for the report.
 fn span_breakdown(space: &CompositionSpace, model: &TcoModel) -> serde_json::Value {
     let registry = uptime_obs::MetricsRegistry::new();
     let _ = composition::search_recorded(
         space,
         model,
         Objective::MinTco,
-        &registry,
-        &uptime_obs::TraceSpan::disabled(),
-    );
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let _ = parallel::search_best_with_threads_recorded(
-        space,
-        model,
-        Objective::MinTco,
-        threads,
         &registry,
         &uptime_obs::TraceSpan::disabled(),
     );
@@ -123,9 +109,6 @@ fn measure(name: &'static str, space: &SearchSpace, model: &TcoModel, reps: u32)
                 &uptime_obs::TraceSpan::disabled(),
             )
         }),
-        parallel_ns: time_ns(reps, || {
-            parallel::search_best(chain, model, Objective::MinTco)
-        }),
         spans: span_breakdown(chain, model),
     }
 }
@@ -161,14 +144,14 @@ fn main() {
 
     let mut spaces = Vec::new();
     println!(
-        "{:<16} {:>10} {:>14} {:>14} {:>14} {:>8}",
-        "space", "variants", "naive ns", "fast ns", "parallel ns", "speedup"
+        "{:<16} {:>10} {:>14} {:>14} {:>8}",
+        "space", "variants", "naive ns", "fast ns", "speedup"
     );
     for row in &rows {
         let speedup = row.naive_ns as f64 / row.fast_ns.max(1) as f64;
         println!(
-            "{:<16} {:>10} {:>14} {:>14} {:>14} {:>7.1}x",
-            row.name, row.assignments, row.naive_ns, row.fast_ns, row.parallel_ns, speedup
+            "{:<16} {:>10} {:>14} {:>14} {:>7.1}x",
+            row.name, row.assignments, row.naive_ns, row.fast_ns, speedup
         );
         spaces.push(serde_json::json!({
             "name": row.name,
@@ -180,10 +163,6 @@ fn main() {
             "fast": {
                 "total_ns": row.fast_ns as u64,
                 "variants_per_sec": variants_per_sec(row.assignments, row.fast_ns),
-            },
-            "parallel": {
-                "total_ns": row.parallel_ns as u64,
-                "variants_per_sec": variants_per_sec(row.assignments, row.parallel_ns),
             },
             "speedup_fast_vs_naive": speedup,
             "obs": row.spans,

@@ -1,13 +1,13 @@
-//! Scale regression for the parallel search (ISSUE PR 2 satellite).
+//! Scale regression for the streaming search (ISSUE PR 2 satellite).
 //!
-//! The pre-PR-2 parallel search collected **every** assignment into a
-//! `Vec<Vec<usize>>` before spawning workers, so memory grew with `k^n`
-//! even when the caller only wanted the argmin. The streaming sharder
-//! must complete a 6⁶ (46 656-variant) space while holding only
-//! per-worker cursor state plus the single winning evaluation.
+//! The pre-PR-2 search collected **every** assignment into a
+//! `Vec<Vec<usize>>` before walking it, so memory grew with `k^n` even
+//! when the caller only wanted the argmin. The streaming search must
+//! complete a 6⁶ (46 656-variant) space while holding only its cursor
+//! state plus the single winning evaluation.
 
 use uptime_bench::{synthetic_model, synthetic_space};
-use uptime_optimizer::{composition, parallel, CompositionSpace, Objective};
+use uptime_optimizer::{composition, composition_bnb, CompositionSpace, Objective};
 
 /// Peak RSS of this process in kilobytes, from `/proc/self/status`
 /// (`VmHWM`). Returns `None` off Linux so the functional assertions still
@@ -24,7 +24,7 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
     let model = synthetic_model();
     assert_eq!(space.assignment_count(), 46_656);
 
-    let outcome = parallel::search_best_with_threads(&space, &model, Objective::MinTco, 4);
+    let outcome = composition::search(&space, &model, Objective::MinTco);
     assert_eq!(outcome.stats().evaluated, 46_656);
     assert_eq!(
         outcome.evaluations().len(),
@@ -32,9 +32,9 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
         "streaming search must keep only the winner"
     );
 
-    // Sharded streaming agrees with the serial streaming argmin.
-    let serial = composition::search(&space, &model, Objective::MinTco);
-    assert_eq!(outcome.best().unwrap(), serial.best().unwrap());
+    // The streaming argmin is the bounded search's winner.
+    let bounded = composition_bnb::search(&space, &model);
+    assert_eq!(outcome.best().unwrap(), bounded.best().unwrap());
 
     // The whole test binary — space construction included — must stay far
     // below what materializing 6⁶ evaluation reports would cost. The bound
@@ -47,17 +47,18 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
 
 #[test]
 fn six_to_the_sixth_thread_counts_agree() {
+    // The bounded search proves the streaming winner at every width,
+    // oversubscribed or at the machine's parallelism (`0`).
     let space = CompositionSpace::from_serial(&synthetic_space(6, 6));
     let model = synthetic_model();
-    let reference = parallel::search_best_with_threads(&space, &model, Objective::MinTco, 1);
-    for threads in [0, 3, 16, 1000] {
-        let outcome =
-            parallel::search_best_with_threads(&space, &model, Objective::MinTco, threads);
+    let reference = composition::search(&space, &model, Objective::MinTco);
+    for threads in [0, 1, 3, 16] {
+        let outcome = composition_bnb::search_with_threads(&space, &model, threads);
         assert_eq!(
             outcome.best().unwrap(),
             reference.best().unwrap(),
             "threads = {threads}"
         );
-        assert_eq!(outcome.stats().evaluated, 46_656, "threads = {threads}");
+        assert_eq!(outcome.stats().considered(), 46_656, "threads = {threads}");
     }
 }

@@ -10,7 +10,7 @@
 //!     --archetype, searches that deployment archetype's series-parallel
 //!     composition space instead of the serial chain.
 //!
-//! brokerctl frontier [--hybrid] [--json] [--engine NAME] [--archetype NAME]
+//! brokerctl frontier [--hybrid] [--json] [--archetype NAME]
 //!                    [--spec FILE | --inline JSON]
 //!     Exact feasible cost/uptime Pareto frontier per cloud for a
 //!     declarative SLO spec (hard constraints filter, weighted soft
@@ -78,7 +78,7 @@ use std::sync::Arc;
 
 use uptime_broker::{
     report, settlement, BrokerService, ChaosConfig, ChaosProvider, DurabilityConfig, GroundTruth,
-    RecoveryReport, SearchEngine, ServingBroker, SimulatedProvider, SolutionRequest,
+    RecoveryReport, ServingBroker, SimulatedProvider, SolutionRequest,
 };
 use uptime_catalog::{case_study, extended, CatalogStore, ComponentKind};
 use uptime_core::{PenaltyClause, RoundingPolicy, SystemSpec};
@@ -91,7 +91,6 @@ fn main() -> ExitCode {
     let mut flags: Vec<&str> = Vec::new();
     let mut positional: Vec<&str> = Vec::new();
     let mut command = None;
-    let mut engine = SearchEngine::default();
     let mut state_dir: Option<String> = None;
     let mut disk_chaos: Option<u64> = None;
     let mut archetype: Option<String> = None;
@@ -102,6 +101,9 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
+        if arg.starts_with("--") {
+            flags.push(arg);
+        }
         if arg == "--state-dir" {
             i += 1;
             match args.get(i) {
@@ -193,24 +195,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-        } else if arg == "--engine" {
-            i += 1;
-            let value = match args.get(i) {
-                Some(v) => v,
-                None => {
-                    eprintln!("brokerctl: --engine needs a value (exhaustive|bnb)");
-                    return ExitCode::from(2);
-                }
-            };
-            engine = match value.parse() {
-                Ok(e) => e,
-                Err(err) => {
-                    eprintln!("brokerctl: {err}");
-                    return ExitCode::from(2);
-                }
-            };
         } else if arg.starts_with("--") {
-            flags.push(arg);
+            // A switch, collected above.
         } else if command.is_none() {
             command = Some(arg.as_str());
         } else {
@@ -224,6 +210,13 @@ fn main() -> ExitCode {
     if command == Some("help") || flags.contains(&"--help") {
         print_help();
         return ExitCode::SUCCESS;
+    }
+    let unknown = command
+        .and_then(accepted_flags)
+        .and_then(|accepted| flags.iter().find(|flag| !accepted.contains(flag)));
+    if let (Some(command), Some(flag)) = (command, unknown) {
+        eprintln!("brokerctl {command}: unknown flag `{flag}`");
+        return ExitCode::from(2);
     }
     if command == Some("health") {
         let chaos = flags.contains(&"--chaos");
@@ -267,7 +260,7 @@ fn main() -> ExitCode {
             },
             None => inline_spec.clone(),
         };
-        return match frontier_command(hybrid, json, engine, archetype.as_deref(), spec_text) {
+        return match frontier_command(hybrid, json, archetype.as_deref(), spec_text) {
             Ok(true) => ExitCode::from(3),
             Ok(false) => ExitCode::SUCCESS,
             Err(err) => {
@@ -281,14 +274,13 @@ fn main() -> ExitCode {
         Some("recommend") => recommend_command(
             hybrid,
             json,
-            engine,
             state_dir.as_deref(),
             archetype.as_deref(),
             positional.first().copied(),
         ),
         Some("sweep") => sweep_command(hybrid, &positional),
         Some("settle") => settle_command(&positional),
-        Some("metacloud") => metacloud_command(engine),
+        Some("metacloud") => metacloud_command(),
         Some("serve") => serve_command(&args),
         Some("trace") => trace_command(&args),
         Some("obs") => obs_command(
@@ -316,6 +308,30 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags a command takes; `None` for `serve` and `trace`, which parse
+/// their own arguments, and for unknown commands.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "catalog" | "sweep" => &["--hybrid"],
+        "recommend" => &["--hybrid", "--json", "--archetype", "--state-dir"],
+        "frontier" => &["--hybrid", "--json", "--archetype", "--spec", "--inline"],
+        "settle" | "metacloud" => &[],
+        "health" => &["--hybrid", "--json", "--chaos"],
+        "recover" => &[
+            "--hybrid",
+            "--json",
+            "--verify",
+            "--compact",
+            "--disk-chaos",
+            "--state-dir",
+        ],
+        "obs" => &[
+            "--hybrid", "--json", "--prom", "--chaos", "--watch", "--iters",
+        ],
+        _ => return None,
+    })
+}
+
 fn print_help() {
     println!(
         "\
@@ -326,21 +342,20 @@ Usage: brokerctl <COMMAND> [options]
 Commands:
   catalog [--hybrid]
       List clouds, HA methods, prices and reliability records.
-  recommend [--hybrid] [--json] [--engine exhaustive|bnb] [--archetype NAME]
-            [--state-dir DIR] [REQUEST.json]
+  recommend [--hybrid] [--json] [--archetype NAME] [--state-dir DIR]
+            [REQUEST.json]
       Run the full recommendation pipeline (default: the paper's
-      case-study intake, 98% SLA and $100/h penalty). With
-      --engine bnb, the exact winner is proven by tight-bound parallel
-      branch-and-bound instead of enumeration: same argmin, but the
-      ranked option table is trimmed to the winner (plus the declared
-      as-is option) and the search stats report how much of the space
-      the bound pruned. Use it for spaces enumeration cannot touch.
-      With --archetype (zonal, multi-zonal, regional,
+      case-study intake, 98% SLA and $100/h penalty). A cloud with at
+      most 4,096 variants gets the full ranked option table; past that,
+      branch-and-bound proves the same winner without enumerating, the
+      table is trimmed to the winner (plus the declared as-is option),
+      and the search stats report how much of the space the bound
+      pruned. With --archetype (zonal, multi-zonal, regional,
       multi-region-active-passive, multi-region-active-active, global)
       the tiers are replicated into that deployment-archetype
       series-parallel shape and the composition space is searched
       instead; request files select the same via a `topology` field.
-  frontier [--hybrid] [--json] [--engine exhaustive|bnb] [--archetype NAME]
+  frontier [--hybrid] [--json] [--archetype NAME]
            [--spec FILE | --inline JSON]
       Extract the exact feasible cost/uptime Pareto frontier per cloud
       for a declarative SLO spec (schemas/slo_spec.schema.json): hard
@@ -348,20 +363,20 @@ Commands:
       objectives rank the surviving frontier points and pick the
       recommended one. The spec comes from --spec FILE or --inline JSON;
       without either, a demo spec (98% hard uptime floor, $2000/mo soft
-      cost cap) is used. --engine bnb prunes with epsilon-dominance
-      branch-and-bound and answers bit-identically to exhaustive
-      enumeration. --json emits the frontier_response document
+      cost cap) is used. When every cloud has at most 4,096 variants the
+      frontier is swept; otherwise epsilon-dominance branch-and-bound
+      finds the same points. --json emits the frontier_response document
       (schemas/frontier_response.schema.json).
   sweep [--hybrid] FROM TO STEPS
       SLA sweep: the winning architecture per target percentage.
   settle MONTHS [SEED]
       Settle a simulated multi-month contract for the case-study
       optimum and compare realized payouts with Eq. 5.
-  metacloud [--engine exhaustive|bnb]
-      Cross-provider (metacloud) recommendation over the hybrid catalog.
-      --engine bnb proves the same placement by branch-and-bound.
+  metacloud
+      Cross-provider (metacloud) recommendation over the hybrid catalog,
+      proven by branch-and-bound.
   serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
-        [--engine exhaustive|bnb] [--state-dir DIR] [--fsync os|always|every:N]
+        [--state-dir DIR] [--fsync os|always|every:N]
         [--snapshot-every N] [--no-trace] [--trace-capacity N]
         [--trace-slow-ms MS] [--trace-sample N] [--stdin]
       Long-lived serving daemon (default 127.0.0.1:7411): one JSON frame
@@ -410,7 +425,7 @@ Exit codes:
   0   success; for `health`, the broker is healthy; for `recover`, the
       state recovered clean
   1   runtime error (bad input file, catalog error, I/O failure)
-  2   usage error (unknown command or malformed arguments)
+  2   usage error (unknown command, unknown flag or malformed arguments)
   3   `health`: the broker is up but serving degraded (breaker open or
       telemetry quarantined); `recover`: the state was degraded (torn
       journal tail, quarantined or malformed records); `frontier`: the
@@ -466,7 +481,6 @@ fn catalog_command(hybrid: bool) -> Result<(), Box<dyn std::error::Error>> {
 fn recommend_command(
     hybrid: bool,
     json: bool,
-    engine: SearchEngine,
     state_dir: Option<&str>,
     archetype: Option<&str>,
     request_path: Option<&str>,
@@ -493,7 +507,7 @@ fn recommend_command(
             builder.build()?
         }
     };
-    let mut broker = BrokerService::new(catalog(hybrid)).with_engine(engine);
+    let mut broker = BrokerService::new(catalog(hybrid));
     if let Some(dir) = state_dir {
         let (recovered, report) = broker.with_durability(DurabilityConfig::new(dir))?;
         broker = recovered;
@@ -534,7 +548,6 @@ const DEFAULT_SLO_SPEC: &str = r#"{ "objectives": [
 fn frontier_command(
     hybrid: bool,
     json: bool,
-    engine: SearchEngine,
     archetype: Option<&str>,
     spec_text: Option<String>,
 ) -> Result<bool, Box<dyn std::error::Error>> {
@@ -547,7 +560,7 @@ fn frontier_command(
         builder = builder.topology(name);
     }
     let request = uptime_broker::FrontierRequest::from_spec(builder, spec)?;
-    let broker = BrokerService::new(catalog(hybrid)).with_engine(engine);
+    let broker = BrokerService::new(catalog(hybrid));
     let report = match broker.solve_slo(&request) {
         Ok(report) => report,
         Err(uptime_broker::BrokerError::SloInfeasible { reason }) => {
@@ -664,7 +677,6 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut hybrid = false;
     let mut stdin_mode = false;
     let mut chaos: Option<u64> = None;
-    let mut engine = SearchEngine::default();
     let mut config = ServerConfig::default();
     let mut state_dir: Option<String> = None;
     let mut fsync = FsyncPolicy::default();
@@ -717,12 +729,6 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         .parse()?,
                 );
             }
-            "--engine" => {
-                engine = iter
-                    .next()
-                    .ok_or("--engine needs a value (exhaustive|bnb)")?
-                    .parse()?;
-            }
             "--workers" => {
                 config.workers = iter.next().ok_or("--workers needs a count")?.parse()?;
             }
@@ -736,14 +742,12 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if stdin_mode {
-        return serve_stdin(hybrid, engine);
+        return serve_stdin(hybrid);
     }
 
     let store = catalog(hybrid);
     let registry = Arc::new(uptime_obs::MetricsRegistry::new());
-    let mut service = BrokerService::new(store.clone())
-        .with_engine(engine)
-        .with_recorder(Arc::clone(&registry) as _);
+    let mut service = BrokerService::new(store.clone()).with_recorder(Arc::clone(&registry) as _);
     if let Some(dir) = &state_dir {
         let mut durability = DurabilityConfig::new(dir).with_fsync(fsync);
         if let Some(every) = snapshot_every {
@@ -787,9 +791,9 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// response per line out. A malformed or failing request produces an
 /// `{"error": ...}` line and the loop continues — one bad client call
 /// must not take the broker down.
-fn serve_stdin(hybrid: bool, engine: SearchEngine) -> Result<(), Box<dyn std::error::Error>> {
+fn serve_stdin(hybrid: bool) -> Result<(), Box<dyn std::error::Error>> {
     use std::io::{BufRead, Write};
-    let broker = BrokerService::new(catalog(hybrid)).with_engine(engine);
+    let broker = BrokerService::new(catalog(hybrid));
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -812,8 +816,8 @@ fn serve_stdin(hybrid: bool, engine: SearchEngine) -> Result<(), Box<dyn std::er
     Ok(())
 }
 
-fn metacloud_command(engine: SearchEngine) -> Result<(), Box<dyn std::error::Error>> {
-    let broker = BrokerService::new(extended::hybrid_catalog()).with_engine(engine);
+fn metacloud_command() -> Result<(), Box<dyn std::error::Error>> {
+    let broker = BrokerService::new(extended::hybrid_catalog());
     let request = SolutionRequest::builder()
         .tiers(ComponentKind::paper_tiers())
         .sla_percent(case_study::SLA_PERCENT)?

@@ -89,7 +89,7 @@ pub use recommendation::{CloudRecommendation, DegradedMode, RankedOption, Recomm
 pub use request::{SolutionRequest, SolutionRequestBuilder};
 pub use resilience::{BreakerState, CircuitBreaker, RetryOutcome, RetryPolicy};
 pub use service::{
-    BrokerHealth, BrokerService, Incident, IncidentCategory, ProviderHealth, SearchEngine,
+    BrokerHealth, BrokerService, Incident, IncidentCategory, ProviderHealth,
     DEFAULT_INCIDENT_CAPACITY,
 };
 pub use serving::{

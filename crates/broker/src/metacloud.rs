@@ -11,17 +11,16 @@
 //! `Π_i (Σ_c k_{i,c})` but remains exact under the same optimizers.
 
 use serde::{Deserialize, Serialize};
-use uptime_catalog::{CloudId, ComponentKind, HaMethodId};
+use uptime_catalog::{CatalogStore, CloudId, ComponentKind, HaMethodId};
 use uptime_core::MoneyPerMonth;
 use uptime_optimizer::{
-    composition_bnb, parallel, Candidate, ComponentChoices, CompositionNode, CompositionSpace,
-    Evaluation, Objective,
+    composition_bnb, Candidate, ComponentChoices, CompositionNode, CompositionSpace, Evaluation,
 };
 
 use crate::error::BrokerError;
 use crate::recommendation::DegradedMode;
 use crate::request::SolutionRequest;
-use crate::service::{BrokerService, SearchEngine};
+use crate::service::BrokerService;
 
 /// One tier's placement in a metacloud deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,60 +138,21 @@ impl BrokerService {
             request.clouds().to_vec()
         };
 
-        // Build the joint space: per tier, candidates from every cloud
-        // whose knowledge base can host it.
-        let mut components = Vec::with_capacity(request.tiers().len());
-        let mut keys: Vec<Vec<(CloudId, HaMethodId)>> = Vec::with_capacity(request.tiers().len());
-        for kind in request.tiers() {
-            let mut candidates = Vec::new();
-            let mut tier_keys = Vec::new();
-            for cloud in &clouds {
-                let profile = catalog.cloud(cloud).expect("validated above");
-                if profile.reliability(*kind).is_none() {
-                    continue;
-                }
-                for method in catalog.methods_for(*kind) {
-                    let Ok(cluster) = catalog.cluster_spec(cloud, *kind, method.id()) else {
-                        continue;
-                    };
-                    let Ok(quote) = catalog.quote(cloud, method.id()) else {
-                        continue;
-                    };
-                    candidates.push(Candidate::new(
-                        format!("{}@{}", method.display_name(), cloud),
-                        cluster,
-                        quote.total(),
-                        method.is_none(),
-                    ));
-                    tier_keys.push((cloud.clone(), method.id().clone()));
-                }
-            }
-            if candidates.is_empty() {
-                return Err(BrokerError::NoCandidates);
-            }
-            components.push(ComponentChoices::new(kind.label(), candidates)?);
-            keys.push(tier_keys);
-        }
-        let space = CompositionSpace::new(CompositionNode::series(components))?;
+        let (space, keys) = joint_space(&catalog, &clouds, request.tiers())?;
         let searched = space.assignment_count();
 
         let model = request.tco_model();
         // Only the argmin matters here, and joint spaces multiply fast
-        // (Π_i Σ_c k_{i,c}); stream through the factorized engine instead
-        // of materializing every evaluation. Both backends return the
-        // same winner; branch-and-bound additionally prunes subtrees the
-        // admissible bound proves suboptimal.
+        // (Π_i Σ_c k_{i,c}): branch-and-bound proves it on one thread,
+        // pruning the subtrees the admissible bound rules out.
         trace_span.attr_u64("variants", u64::try_from(searched).unwrap_or(u64::MAX));
-        let outcome = match self.engine() {
-            SearchEngine::Exhaustive => parallel::search_best(&space, &model, Objective::MinTco),
-            SearchEngine::BranchBound => composition_bnb::search_with_threads_recorded(
-                &space,
-                &model,
-                0,
-                self.obs_recorder(),
-                &trace_span,
-            ),
-        };
+        let outcome = composition_bnb::search_with_threads_recorded(
+            &space,
+            &model,
+            1,
+            self.obs_recorder(),
+            &trace_span,
+        );
         let best = outcome.best().ok_or(BrokerError::NoCandidates)?.clone();
 
         let placements: Vec<Placement> = best
@@ -225,6 +185,53 @@ impl BrokerService {
             assignments_searched: searched,
         })
     }
+}
+
+/// Per tier, the `(cloud, HA method)` pair behind each joint-space candidate.
+pub(crate) type PlacementKeys = Vec<Vec<(CloudId, HaMethodId)>>;
+
+/// The metacloud's joint space: per tier, a candidate for every `(cloud,
+/// HA method)` pair whose knowledge base can host it, chained in series,
+/// with each candidate's pair alongside.
+pub(crate) fn joint_space(
+    catalog: &CatalogStore,
+    clouds: &[CloudId],
+    tiers: &[ComponentKind],
+) -> Result<(CompositionSpace, PlacementKeys), BrokerError> {
+    let mut components = Vec::with_capacity(tiers.len());
+    let mut keys = Vec::with_capacity(tiers.len());
+    for kind in tiers {
+        let mut candidates = Vec::new();
+        let mut tier_keys = Vec::new();
+        for cloud in clouds {
+            let profile = catalog.cloud(cloud).expect("validated above");
+            if profile.reliability(*kind).is_none() {
+                continue;
+            }
+            for method in catalog.methods_for(*kind) {
+                let Ok(cluster) = catalog.cluster_spec(cloud, *kind, method.id()) else {
+                    continue;
+                };
+                let Ok(quote) = catalog.quote(cloud, method.id()) else {
+                    continue;
+                };
+                candidates.push(Candidate::new(
+                    format!("{}@{}", method.display_name(), cloud),
+                    cluster,
+                    quote.total(),
+                    method.is_none(),
+                ));
+                tier_keys.push((cloud.clone(), method.id().clone()));
+            }
+        }
+        if candidates.is_empty() {
+            return Err(BrokerError::NoCandidates);
+        }
+        components.push(ComponentChoices::new(kind.label(), candidates)?);
+        keys.push(tier_keys);
+    }
+    let space = CompositionSpace::new(CompositionNode::series(components))?;
+    Ok((space, keys))
 }
 
 #[cfg(test)]

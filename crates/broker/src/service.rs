@@ -11,9 +11,8 @@ use uptime_catalog::{CatalogStore, CloudId, ComponentKind, HaMethodId};
 use uptime_core::TcoModel;
 use uptime_durability::{Journal, SnapshotStore, StateDir, HEADER_LEN};
 use uptime_optimizer::{
-    composition, composition_bnb, exhaustive, pareto_bnb, Archetype, Candidate,
-    CompositionEvaluator, CompositionSpace, Evaluation, FrontierOutcome, Objective, SearchSpace,
-    SearchStats,
+    composition_bnb, exhaustive, pareto_bnb, Archetype, Candidate, CompositionEvaluator,
+    CompositionSpace, Evaluation, FrontierOutcome, Objective, SearchSpace, SearchStats,
 };
 use uptime_slo::PointMetrics;
 
@@ -182,53 +181,6 @@ pub struct BrokerHealth {
     pub degraded: bool,
 }
 
-/// Which optimizer backend [`BrokerService::recommend`] and
-/// [`BrokerService::recommend_metacloud`] run on — `brokerctl`'s
-/// `--engine` flag.
-///
-/// [`SearchEngine::Exhaustive`] materializes every HA permutation so the
-/// recommendation carries the paper's full Fig. 10 option table (spaces
-/// past 4,096 variants are streamed and the table trimmed to the winner).
-/// [`SearchEngine::BranchBound`] runs the tight-bound work-stealing
-/// parallel branch-and-bound
-/// ([`uptime_optimizer::composition_bnb::search_with_threads`]): exactly
-/// the same `MinTco` winner, but the option table is trimmed to the
-/// winner (plus the as-is option when one is declared) because the engine
-/// never visits — let alone materializes — most of the space. Use it when
-/// the space is too large to enumerate; the recommendation's search stats
-/// then show how much of the space the bound discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchEngine {
-    /// Factorized full enumeration; complete ranked option tables.
-    #[default]
-    Exhaustive,
-    /// Tight-bound parallel branch-and-bound; winner-only option tables.
-    BranchBound,
-}
-
-impl std::str::FromStr for SearchEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exhaustive" | "full" => Ok(SearchEngine::Exhaustive),
-            "bnb" | "branch-bound" => Ok(SearchEngine::BranchBound),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `exhaustive` or `bnb`)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for SearchEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SearchEngine::Exhaustive => "exhaustive",
-            SearchEngine::BranchBound => "bnb",
-        })
-    }
-}
-
 /// The uptime-optimizing brokered service of the paper's Fig. 2.
 ///
 /// Holds the broker's knowledge base behind a read-write lock so that
@@ -249,7 +201,6 @@ pub struct BrokerService {
     retry: RetryPolicy,
     quarantine: QuarantinePolicy,
     breaker_template: CircuitBreaker,
-    engine: SearchEngine,
     recorder: Arc<dyn uptime_obs::Recorder>,
     /// Bumped on every successful telemetry absorb; serving-layer caches
     /// key their entries by this and so are invalidated by any absorb.
@@ -281,7 +232,6 @@ impl BrokerService {
             retry: RetryPolicy::default(),
             quarantine: QuarantinePolicy::default(),
             breaker_template: CircuitBreaker::default(),
-            engine: SearchEngine::default(),
             recorder: Arc::new(uptime_obs::NoopRecorder),
             epoch: std::sync::atomic::AtomicU64::new(0),
             durability: None,
@@ -316,21 +266,6 @@ impl BrokerService {
     pub fn with_recorder(mut self, recorder: Arc<dyn uptime_obs::Recorder>) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// Selects the optimizer backend recommendations run on. The default
-    /// is [`SearchEngine::Exhaustive`]; see [`SearchEngine`] for the
-    /// trade-off.
-    #[must_use]
-    pub fn with_engine(mut self, engine: SearchEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The optimizer backend recommendations run on.
-    #[must_use]
-    pub fn engine(&self) -> SearchEngine {
-        self.engine
     }
 
     /// The recorder recommendations report `broker.*` metrics through.
@@ -773,8 +708,8 @@ impl BrokerService {
     /// deployment archetype's series–parallel shape (see [`Archetype`]);
     /// without one the tiers form the paper's serial chain. Both are
     /// searched by the same engines and ranked by the same table rule:
-    /// the full table up to 4,096 variants under [`SearchEngine::Exhaustive`],
-    /// otherwise the winner plus the declared as-is option.
+    /// the full table up to 4,096 variants, otherwise the winner plus the
+    /// declared as-is option.
     ///
     /// # Errors
     ///
@@ -864,13 +799,13 @@ impl BrokerService {
     }
 
     /// One cloud's ranked option table and its search stats — the one
-    /// table rule for serial and archetype requests alike. The exhaustive
-    /// engine ranks every variant the way the paper numbers them
-    /// (ascending cardinality, then mixed-radix value) while the space has
-    /// at most [`TABLE_CAP`] of them; beyond it the streamed winner stands
-    /// alone. Branch-and-bound proves the winner without visiting most of
-    /// the space, so its table is the winner too. A trimmed table keeps
-    /// the declared as-is option as a second row.
+    /// table rule for serial and archetype requests alike, where the
+    /// space's size picks the engine. Up to [`TABLE_CAP`] variants the
+    /// exhaustive engine ranks every one the way the paper numbers them
+    /// (ascending cardinality, then mixed-radix value). Past it,
+    /// branch-and-bound proves the winner on one thread without visiting
+    /// most of the space; the table is that winner, plus the declared
+    /// as-is option as a second row.
     fn option_table(
         &self,
         space: &CompositionSpace,
@@ -879,28 +814,22 @@ impl BrokerService {
         trace_span: &uptime_obs::TraceSpan,
     ) -> Result<(Vec<Evaluation>, SearchStats), BrokerError> {
         let rec = &*self.recorder;
-        let outcome = match self.engine {
-            SearchEngine::Exhaustive if space.assignment_count() <= TABLE_CAP => {
-                let outcome = {
-                    let _span = uptime_obs::span!(rec, "optimizer.exhaustive.search");
-                    let mut table_span = trace_span.child("optimizer.exhaustive.search");
-                    let outcome = exhaustive::composition_search(space, model, Objective::MinTco);
-                    rec.counter_add("optimizer.exhaustive.variants", outcome.stats().evaluated);
-                    table_span.attr_u64("variants", outcome.stats().evaluated);
-                    outcome
-                };
-                let stats = outcome.stats();
-                let mut ordered = outcome.into_evaluations();
-                ordered.sort_by_key(|e| (e.cardinality(), assignment_value(space, e.assignment())));
-                return Ok((ordered, stats));
-            }
-            SearchEngine::Exhaustive => {
-                composition::search_recorded(space, model, Objective::MinTco, rec, trace_span)
-            }
-            SearchEngine::BranchBound => {
-                composition_bnb::search_with_threads_recorded(space, model, 0, rec, trace_span)
-            }
-        };
+        if space.assignment_count() <= TABLE_CAP {
+            let outcome = {
+                let _span = uptime_obs::span!(rec, "optimizer.exhaustive.search");
+                let mut table_span = trace_span.child("optimizer.exhaustive.search");
+                let outcome = exhaustive::composition_search(space, model, Objective::MinTco);
+                rec.counter_add("optimizer.exhaustive.variants", outcome.stats().evaluated);
+                table_span.attr_u64("variants", outcome.stats().evaluated);
+                outcome
+            };
+            let stats = outcome.stats();
+            let mut ordered = outcome.into_evaluations();
+            ordered.sort_by_key(|e| (e.cardinality(), assignment_value(space, e.assignment())));
+            return Ok((ordered, stats));
+        }
+        let outcome =
+            composition_bnb::search_with_threads_recorded(space, model, 1, rec, trace_span);
         let mut ordered = vec![outcome.best().ok_or(BrokerError::NoCandidates)?.clone()];
         if let Some(assignment) = as_is {
             if assignment != ordered[0].assignment() {
@@ -917,10 +846,13 @@ impl BrokerService {
     /// returned point, and the broker recommends the point with the
     /// lowest weighted violation.
     ///
-    /// Both engines answer bit-identically: `Exhaustive` runs the
-    /// full-enumeration fast-path sweep, `BranchBound` the
-    /// epsilon-dominance branch-and-bound. A `topology` on the request
-    /// routes to the archetype's series–parallel composition space.
+    /// The size rule of [`Self::recommend`] picks one engine per request:
+    /// when every requested cloud's space has at most [`TABLE_CAP`]
+    /// variants, the full-enumeration sweep; otherwise the
+    /// epsilon-dominance branch-and-bound on one thread, for every cloud,
+    /// so the report's `engine` names what ran. Both answer
+    /// bit-identical points. A `topology` on the request routes to the
+    /// archetype's series–parallel composition space.
     ///
     /// # Errors
     ///
@@ -957,27 +889,37 @@ impl BrokerService {
         let model = request.base().tco_model();
 
         let archetype = request_archetype(request.base())?;
-        let mut cloud_fronts = Vec::with_capacity(clouds.len());
-        for cloud in clouds {
-            let (space, method_ids) = cloud_space(&catalog, &cloud, request.base(), archetype)?;
-            let outcome = match self.engine {
-                SearchEngine::Exhaustive => pareto_bnb::composition_sweep_recorded(
+        let spaces = clouds
+            .into_iter()
+            .map(|cloud| {
+                let (space, method_ids) = cloud_space(&catalog, &cloud, request.base(), archetype)?;
+                Ok((cloud, space, method_ids))
+            })
+            .collect::<Result<Vec<_>, BrokerError>>()?;
+        let sweep = spaces
+            .iter()
+            .all(|(_, space, _)| space.assignment_count() <= TABLE_CAP);
+        let mut cloud_fronts = Vec::with_capacity(spaces.len());
+        for (cloud, space, method_ids) in spaces {
+            let outcome = if sweep {
+                pareto_bnb::composition_sweep_recorded(
                     &space,
                     &model,
                     &constraints,
                     epsilon,
                     rec,
                     &trace_span,
-                ),
-                SearchEngine::BranchBound => pareto_bnb::composition_search_with_threads_recorded(
+                )
+            } else {
+                pareto_bnb::composition_search_with_threads_recorded(
                     &space,
                     &model,
                     &constraints,
                     epsilon,
-                    0,
+                    1,
                     rec,
                     &trace_span,
-                ),
+                )
             };
             let points = frontier_points(&outcome, request, &space, &method_ids);
             cloud_fronts.push(CloudFrontier::new(cloud, points, *outcome.stats()));
@@ -992,7 +934,7 @@ impl BrokerService {
             });
         }
         Ok(FrontierReport::new(
-            &self.engine.to_string(),
+            if sweep { "exhaustive" } else { "bnb" },
             epsilon,
             spec.uptime_target_percent(),
             cloud_fronts,
@@ -1412,10 +1354,11 @@ fn assignment_value(space: &CompositionSpace, assignment: &[usize]) -> u128 {
     value
 }
 
-/// Largest space the exhaustive engine still ranks in full; beyond it,
-/// the option table is trimmed to the streamed winner (plus the declared
-/// as-is option). The paper's chain has 8 assignments and the six survey
-/// archetypes top out at 512, well under this.
+/// Largest space the broker enumerates: up to it, `recommend` ranks the
+/// full table and `solve_slo` sweeps; beyond it, both run
+/// branch-and-bound and the option table is trimmed to the winner (plus
+/// the declared as-is option). The paper's chain has 8 assignments and
+/// the six survey archetypes top out at 512 on the case-study catalog.
 const TABLE_CAP: u128 = 4096;
 
 /// The request's deployment archetype, if it names a `topology`.
@@ -1628,6 +1571,7 @@ mod tests {
     use crate::request::SolutionRequest;
     use uptime_catalog::case_study;
     use uptime_core::{FailuresPerYear, Probability};
+    use uptime_optimizer::{composition, SearchOutcome};
 
     fn paper_request() -> SolutionRequest {
         SolutionRequest::builder()
@@ -1734,27 +1678,18 @@ mod tests {
 
     #[test]
     fn serial_tables_past_the_cap_keep_the_winner_and_as_is() {
-        // Past TABLE_CAP the exhaustive engine streams the space and the
-        // table keeps only the winner and the declared as-is option.
+        // Past TABLE_CAP branch-and-bound proves the winner, and the table
+        // keeps only it and the declared as-is option.
         let request = thirteen_compute_tiers();
         let rec = service().recommend(&request).unwrap();
         let cloud = &rec.clouds()[0];
-        assert_eq!(cloud.stats().evaluated, 8192);
+        assert_eq!(cloud.stats().considered(), 8192);
         assert_eq!(cloud.options().len(), 2);
         assert_eq!(cloud.best().option_number(), 1);
         assert_eq!(cloud.as_is().unwrap().option_number(), 2);
         assert_eq!(
             cloud.as_is().unwrap().method_ids(),
             vec![HaMethodId::new("vmware-ha-3p1"); 13].as_slice()
-        );
-        // The streamed winner is the bounded search's.
-        let bnb = service()
-            .with_engine(SearchEngine::BranchBound)
-            .recommend(&request)
-            .unwrap();
-        assert_eq!(
-            bnb.clouds()[0].best().evaluation(),
-            cloud.best().evaluation()
         );
         // The paper's 8-variant request keeps every row.
         let paper = service().recommend(&paper_request()).unwrap();
@@ -1765,8 +1700,9 @@ mod tests {
     fn full_tables_report_the_exhaustive_counters() {
         // Every full table, serial or archetype, is one
         // `optimizer.exhaustive.search` call over the whole space; a
-        // trimmed table streams the space and reports no exhaustive
-        // counter.
+        // trimmed table is one `optimizer.bnb.search` call whose leaves
+        // and skipped variants cover the space, and reports no
+        // exhaustive counter.
         let recorded = |request: &SolutionRequest| {
             let registry = Arc::new(uptime_obs::MetricsRegistry::new());
             service()
@@ -1774,59 +1710,88 @@ mod tests {
                 .recommend(request)
                 .unwrap();
             let snap = registry.snapshot();
+            let bnb_covered = snap
+                .counter("optimizer.bnb.leaves_evaluated")
+                .zip(snap.counter("optimizer.bnb.variants_skipped"))
+                .map(|(leaves, skipped)| leaves + skipped);
             [
-                "optimizer.exhaustive.variants",
-                "optimizer.exhaustive.search.calls",
-                "optimizer.composition.variants",
+                snap.counter("optimizer.exhaustive.variants"),
+                snap.counter("optimizer.exhaustive.search.calls"),
+                snap.counter("optimizer.bnb.search.calls"),
+                bnb_covered,
             ]
-            .map(|name| snap.counter(name))
         };
-        assert_eq!(recorded(&paper_request()), [Some(8), Some(1), None]);
+        assert_eq!(recorded(&paper_request()), [Some(8), Some(1), None, None]);
         let regional = Archetype::Regional
             .space(&case_study::catalog(), &case_study::cloud_id())
             .unwrap();
         let variants = u64::try_from(regional.assignment_count()).unwrap();
         assert_eq!(
             recorded(&archetype_request("regional")),
-            [Some(variants), Some(1), None]
+            [Some(variants), Some(1), None, None]
         );
         assert_eq!(
             recorded(&thirteen_compute_tiers()),
-            [None, None, Some(8192)]
+            [None, None, Some(1), Some(8192)]
         );
+    }
+
+    /// The exhaustive table of `request`'s space on its one cloud: every
+    /// variant, evaluated in lexicographic order.
+    fn exhaustive_table(svc: &BrokerService, request: &SolutionRequest) -> SearchOutcome {
+        let catalog = svc.catalog_snapshot();
+        let cloud = &request.clouds()[0];
+        let (space, _) = cloud_space(&catalog, cloud, request, None).unwrap();
+        exhaustive::composition_search(&space, &request.tco_model(), Objective::MinTco)
     }
 
     #[test]
     fn bnb_as_is_rows_match_the_exhaustive_table() {
         // A trimmed table evaluates the declared as-is option with the
-        // kernel that fills the full table, so the as-is row of a
-        // branch-and-bound answer is that option's exhaustive row, bit for
-        // bit — checked for every option on each hybrid cloud.
+        // kernel that fills the full table, so past the cap the as-is row
+        // is that option's exhaustive row, bit for bit. Nine hybrid tiers
+        // (the paper's three, thrice) give 36^3 = 46,656 variants a cloud;
+        // every one of a cloud's 36 three-tier options, repeated thrice,
+        // is declared as-is in turn.
         let catalog = uptime_catalog::extended::hybrid_catalog;
-        let exhaustive = BrokerService::new(catalog());
-        let bnb = BrokerService::new(catalog()).with_engine(SearchEngine::BranchBound);
-        let request = |cloud: &CloudId, as_is: &[HaMethodId]| {
+        let svc = BrokerService::new(catalog());
+        let request = |cloud: &CloudId, as_is: &[HaMethodId], copies: usize| {
+            let as_is: Vec<_> = as_is
+                .iter()
+                .cycle()
+                .take(as_is.len() * copies)
+                .cloned()
+                .collect();
             SolutionRequest::builder()
-                .tiers(ComponentKind::paper_tiers())
+                .tiers(ComponentKind::paper_tiers().repeat(copies))
                 .sla_percent(98.0)
                 .unwrap()
                 .penalty_per_hour(100.0)
                 .unwrap()
                 .cloud(cloud.clone())
-                .as_is(as_is.to_vec())
+                .as_is(as_is)
                 .build()
                 .unwrap()
         };
         let paper_as_is = paper_request().as_is().unwrap().to_vec();
         for cloud in catalog().cloud_ids() {
-            let table = exhaustive.recommend(&request(cloud, &paper_as_is)).unwrap();
-            let options = table.clouds()[0].options();
+            let table = exhaustive_table(&svc, &request(cloud, &paper_as_is, 3));
+            let rows = table.evaluations();
+            assert_eq!(rows.len(), 46_656);
+            let small = svc.recommend(&request(cloud, &paper_as_is, 1)).unwrap();
+            let options = small.clouds()[0].options();
             assert_eq!(options.len(), 36);
             for option in options {
-                let answer = bnb.recommend(&request(cloud, option.method_ids())).unwrap();
-                let as_is = answer.clouds()[0].as_is().unwrap();
-                assert_eq!(as_is.method_ids(), option.method_ids());
-                assert_eq!(as_is.evaluation(), option.evaluation(), "{cloud}");
+                let declared = request(cloud, option.method_ids(), 3);
+                let answer = svc.recommend(&declared).unwrap();
+                let answer = &answer.clouds()[0];
+                assert_eq!(answer.best().evaluation(), table.best().unwrap(), "{cloud}");
+                let as_is = answer.as_is().unwrap();
+                assert_eq!(as_is.method_ids(), declared.as_is().unwrap());
+                let row = rows
+                    .binary_search_by(|e| e.assignment().cmp(as_is.evaluation().assignment()))
+                    .unwrap();
+                assert_eq!(as_is.evaluation(), &rows[row], "{cloud}");
             }
         }
     }
@@ -1854,24 +1819,33 @@ mod tests {
 
     #[test]
     fn bnb_engine_matches_exhaustive_archetype_winner() {
-        for name in ["multi-zonal", "multi-region-active-active", "global"] {
-            let ex = service().recommend(&archetype_request(name)).unwrap();
-            let bnb = service()
-                .with_engine(SearchEngine::BranchBound)
-                .recommend(&archetype_request(name))
+        // The hybrid catalog's regional and global archetypes (5,184 and
+        // 46,656 variants a cloud) run past the cap: the proven winner is
+        // the streaming enumeration's, bit for bit, and stands alone.
+        let catalog = uptime_catalog::extended::hybrid_catalog();
+        let svc = BrokerService::new(catalog.clone());
+        for (archetype, variants) in [(Archetype::Regional, 5_184), (Archetype::Global, 46_656)] {
+            let request = archetype_request(archetype.name());
+            let request = SolutionRequest::builder()
+                .tiers(request.tiers().to_vec())
+                .sla_percent(98.0)
+                .unwrap()
+                .penalty_per_hour(100.0)
+                .unwrap()
+                .topology(archetype.name())
+                .build()
                 .unwrap();
-            let e = ex.clouds()[0].best();
-            let b = bnb.clouds()[0].best();
-            assert_eq!(
-                b.evaluation().assignment(),
-                e.evaluation().assignment(),
-                "{name}"
-            );
-            assert_eq!(
-                bnb.clouds()[0].options().len(),
-                1,
-                "{name}: BnB table is trimmed to the proven winner"
-            );
+            let rec = svc.recommend(&request).unwrap();
+            assert_eq!(rec.clouds().len(), 3);
+            for cloud in rec.clouds() {
+                let space = archetype.space(&catalog, cloud.cloud()).unwrap();
+                assert_eq!(space.assignment_count(), variants);
+                let oracle = composition::search(&space, &request.tco_model(), Objective::MinTco);
+                let name = archetype.name();
+                assert_eq!(cloud.best().evaluation(), oracle.best().unwrap(), "{name}");
+                assert_eq!(cloud.options().len(), 1, "{name}: trimmed to the winner");
+                assert_eq!(u128::from(cloud.stats().considered()), variants, "{name}");
+            }
         }
     }
 
@@ -1917,31 +1891,31 @@ mod tests {
 
     #[test]
     fn branch_bound_engine_matches_exhaustive_winner() {
-        let request = paper_request();
-        let full = service().recommend(&request).unwrap();
-        let bnb = service()
-            .with_engine(SearchEngine::BranchBound)
-            .recommend(&request)
+        // Past the cap the serial winner and the as-is row are the
+        // exhaustive table's rows, bit for bit.
+        let request = thirteen_compute_tiers();
+        let svc = service();
+        let table = exhaustive_table(&svc, &request);
+        let rec = svc.recommend(&request).unwrap();
+        let cloud = &rec.clouds()[0];
+        assert_eq!(
+            cloud.best().evaluation(),
+            table.best().unwrap(),
+            "branch-and-bound must agree with the table on the winner bit-for-bit"
+        );
+        let as_is = cloud.as_is().unwrap().evaluation();
+        let row = table
+            .evaluations()
+            .iter()
+            .find(|e| e.assignment() == as_is.assignment())
             .unwrap();
-        let full_cloud = &full.clouds()[0];
-        let bnb_cloud = &bnb.clouds()[0];
-        assert_eq!(
-            full_cloud.best().evaluation(),
-            bnb_cloud.best().evaluation(),
-            "engines must agree on the winner bit-for-bit"
-        );
-        // Trimmed table: winner plus the declared as-is option.
-        assert_eq!(bnb_cloud.options().len(), 2);
-        assert!(bnb_cloud.as_is().is_some());
-        assert_eq!(
-            u128::from(bnb_cloud.stats().considered()),
-            8,
-            "streaming engine still accounts for the full space"
-        );
+        assert_eq!(as_is, row);
     }
 
     #[test]
     fn branch_bound_engine_matches_metacloud_placement() {
+        // The metacloud answer is the streaming enumeration's winner over
+        // the same joint space, bit for bit.
         let catalog = uptime_catalog::extended::hybrid_catalog();
         let request = SolutionRequest::builder()
             .tiers(ComponentKind::paper_tiers())
@@ -1951,26 +1925,66 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let full = BrokerService::new(catalog.clone())
+        let meta = BrokerService::new(catalog.clone())
             .recommend_metacloud(&request)
             .unwrap();
-        let bnb = BrokerService::new(catalog)
-            .with_engine(SearchEngine::BranchBound)
-            .recommend_metacloud(&request)
-            .unwrap();
-        assert_eq!(full.evaluation(), bnb.evaluation());
-        assert_eq!(full.placements(), bnb.placements());
+        let clouds: Vec<CloudId> = catalog.cloud_ids().cloned().collect();
+        let (space, keys) =
+            crate::metacloud::joint_space(&catalog, &clouds, request.tiers()).unwrap();
+        let oracle = composition::search(&space, &request.tco_model(), Objective::MinTco);
+        let best = oracle.best().unwrap();
+        assert_eq!(meta.evaluation(), best);
+        let placed: Vec<_> = meta
+            .placements()
+            .iter()
+            .map(|p| (p.cloud.clone(), p.method.clone()))
+            .collect();
+        let expected: Vec<_> = best
+            .assignment()
+            .iter()
+            .zip(&keys)
+            .map(|(&idx, tier)| tier[idx].clone())
+            .collect();
+        assert_eq!(placed, expected);
     }
 
     #[test]
     fn engine_parses_and_displays() {
-        assert_eq!("bnb".parse(), Ok(SearchEngine::BranchBound));
-        assert_eq!("branch-bound".parse(), Ok(SearchEngine::BranchBound));
-        assert_eq!("exhaustive".parse(), Ok(SearchEngine::Exhaustive));
-        assert_eq!("full".parse(), Ok(SearchEngine::Exhaustive));
-        assert!("quantum".parse::<SearchEngine>().is_err());
-        assert_eq!(SearchEngine::BranchBound.to_string(), "bnb");
-        assert_eq!(SearchEngine::default(), SearchEngine::Exhaustive);
+        // The frontier report names the engine the size rule ran, and the
+        // name survives the wire: the sweep below the cap, bnb past it.
+        let request = |hybrid: bool, topology: &str| {
+            let base = SolutionRequest::builder()
+                .tiers(ComponentKind::paper_tiers())
+                .penalty_per_hour(100.0)
+                .unwrap()
+                .topology(topology);
+            let spec = uptime_slo::SloSpec::from_json_str(
+                r#"{ "objectives": [ { "metric": "uptime", "threshold": 98.0, "mode": "hard" } ] }"#,
+            )
+            .unwrap();
+            let svc = if hybrid {
+                BrokerService::new(uptime_catalog::extended::hybrid_catalog())
+            } else {
+                service()
+            };
+            svc.solve_slo(&FrontierRequest::from_spec(base, spec).unwrap())
+                .unwrap()
+        };
+        for (report, engine) in [
+            (request(false, "global"), "exhaustive"),
+            (request(true, "multi-zonal"), "exhaustive"),
+            (request(true, "global"), "bnb"),
+        ] {
+            assert_eq!(report.engine(), engine);
+            let wire = serde_json::to_value(&report);
+            assert_eq!(
+                wire.get("engine").and_then(serde::Value::as_str),
+                Some(engine)
+            );
+            assert_eq!(FrontierReport::from_value(&wire).unwrap(), report);
+            let threads = report.clouds().iter().map(|c| c.stats().threads);
+            assert!(threads.into_iter().all(|t| t == 1), "{engine}");
+        }
     }
 
     #[test]

@@ -65,41 +65,52 @@ fn frontier_json_matches_engines_and_specs() {
         { "metric": "uptime", "threshold": 92.0, "mode": "hard" },
         { "metric": "cost", "threshold": 1000.0, "mode": "soft" }
     ] }"#;
-    let run = |engine: &str| {
+    let run = |args: &[&str]| {
         let output = brokerctl()
-            .args(["frontier", "--json", "--engine", engine, "--inline", inline])
+            .args(["frontier", "--json"])
+            .args(args)
             .output()
             .expect("binary runs");
         assert!(output.status.success(), "{output:?}");
-        serde_json::from_slice::<serde_json::Value>(&output.stdout).unwrap()
+        String::from_utf8(output.stdout).unwrap()
     };
-    let exhaustive = run("exhaustive");
-    let bnb = run("bnb");
+    let engine = |text: &str| {
+        let value: serde_json::Value = serde_json::from_str(text).unwrap();
+        value
+            .get("engine")
+            .and_then(|e| e.as_str())
+            .map(str::to_owned)
+    };
+    // The space's size names the engine: the paper's 8 variants are
+    // swept, the hybrid global archetype's 46,656 a cloud are not.
+    let paper = run(&["--inline", inline]);
+    assert_eq!(engine(&paper).as_deref(), Some("exhaustive"));
+    let global = run(&["--hybrid", "--archetype", "global"]);
+    assert_eq!(engine(&global).as_deref(), Some("bnb"));
+
+    // The CLI prints the service's report byte for byte.
+    let request = uptime_broker::FrontierRequest::from_spec(
+        uptime_broker::SolutionRequest::builder()
+            .tiers(uptime_catalog::ComponentKind::paper_tiers())
+            .penalty_per_hour(100.0)
+            .unwrap(),
+        uptime_slo::SloSpec::from_json_str(inline).unwrap(),
+    )
+    .unwrap();
+    let report = uptime_broker::BrokerService::new(uptime_catalog::case_study::catalog())
+        .solve_slo(&request)
+        .unwrap();
     assert_eq!(
-        exhaustive.get("engine").and_then(|e| e.as_str()),
-        Some("exhaustive")
+        paper,
+        format!("{}\n", serde_json::to_string_pretty(&report).unwrap())
     );
-    assert_eq!(bnb.get("engine").and_then(|e| e.as_str()), Some("bnb"));
-    // Same points either way (stats legitimately differ).
-    let points = |v: &serde_json::Value| {
-        v.get("clouds").and_then(|c| c.as_array()).unwrap()[0]
-            .get("points")
-            .cloned()
-    };
-    assert_eq!(points(&exhaustive), points(&bnb));
 
     // A spec file is read the same as --inline.
     let dir = std::env::temp_dir().join("brokerctl-frontier-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("spec.json");
     std::fs::write(&path, inline).unwrap();
-    let from_file = brokerctl()
-        .args(["frontier", "--json", "--spec", path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(from_file.status.success(), "{from_file:?}");
-    let from_file: serde_json::Value = serde_json::from_slice(&from_file.stdout).unwrap();
-    assert_eq!(from_file, exhaustive);
+    assert_eq!(run(&["--spec", path.to_str().unwrap()]), paper);
 }
 
 #[test]
@@ -163,6 +174,31 @@ fn metacloud_reports_cross_cloud_plan() {
 fn unknown_subcommand_exits_2() {
     let output = brokerctl().arg("bogus").output().expect("binary runs");
     assert_eq!(output.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    for args in [
+        ["recommend", "--engine", "bnb"],
+        ["frontier", "--engine", "bnb"],
+        ["metacloud", "--engine", "bnb"],
+        ["recommend", "--josn", "--hybrid"],
+        ["metacloud", "--hybird", "--json"],
+    ] {
+        let output = brokerctl().args(args).output().expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "{args:?}: {output:?}");
+        let err = String::from_utf8(output.stderr).unwrap();
+        assert!(err.contains(&format!("`{}`", args[1])), "{args:?}: {err}");
+    }
+    // `serve` keeps its own parser, which refuses the flag before binding.
+    let output = brokerctl()
+        .args(["serve", "--engine", "bnb"])
+        .output()
+        .expect("binary runs");
+    assert!(!output.status.success(), "{output:?}");
+    let err = String::from_utf8(output.stderr).unwrap();
+    assert!(err.contains("`--engine`"), "{err}");
 }
 
 #[test]

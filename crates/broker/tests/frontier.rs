@@ -1,8 +1,10 @@
 //! End-to-end checks of the PR 9 SLO frontier path (`solve_slo` and the
 //! `frontier` serve endpoint):
 //!
-//! * both search engines answer bit-identically, on serial chains AND
-//!   archetype composition spaces;
+//! * the engine the space's size picks (the sweep up to 4,096 variants a
+//!   cloud, branch-and-bound past it) answers the exhaustive sweep's
+//!   points bit for bit, on serial chains AND archetype composition
+//!   spaces, and past-cap answers are byte-identical run to run;
 //! * the served endpoint's bytes equal a direct `solve_slo` call, and
 //!   stay bit-identical across a telemetry-epoch bump that does not
 //!   touch the requested cloud (the report carries no epoch);
@@ -14,10 +16,11 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Value};
 use uptime_broker::{
-    BrokerError, BrokerService, FrontierRequest, ProviderTelemetry, SearchEngine, ServingBroker,
+    BrokerError, BrokerService, FrontierReport, FrontierRequest, ProviderTelemetry, ServingBroker,
     SolutionRequest,
 };
 use uptime_catalog::{case_study, extended, ComponentKind};
+use uptime_optimizer::{pareto_bnb, Archetype, CompositionSpace, SearchSpace};
 use uptime_serve::ServeBackend;
 use uptime_sim::{SimDuration, SimTime, Trace, TraceEventKind};
 use uptime_slo::SloSpec;
@@ -43,42 +46,100 @@ const BASIC_SPEC: &str = r#"{ "objectives": [
     { "metric": "cost", "threshold": 1000.0, "mode": "soft", "weight": 1.0 }
 ] }"#;
 
+/// [`BASIC_SPEC`] over the paper tiers, optionally in an archetype shape.
+fn shaped_request(topology: Option<&str>) -> FrontierRequest {
+    let mut base = SolutionRequest::builder()
+        .tiers(ComponentKind::paper_tiers())
+        .penalty_per_hour(100.0)
+        .unwrap();
+    if let Some(name) = topology {
+        base = base.topology(name);
+    }
+    FrontierRequest::from_spec(base, spec(BASIC_SPEC)).unwrap()
+}
+
 #[test]
 fn engines_answer_bit_identically_serial_and_archetype() {
-    let serial = paper_request(BASIC_SPEC);
-    let archetype = FrontierRequest::from_spec(
-        SolutionRequest::builder()
+    // Whichever engine the size rule runs, every cloud's points are the
+    // exhaustive sweep's, bit for bit, down to each point's methods.
+    for (hybrid, archetype, engine) in [
+        (false, None, "exhaustive"),
+        (false, Some(Archetype::Zonal), "exhaustive"),
+        (true, Some(Archetype::Regional), "bnb"),
+        (true, Some(Archetype::Global), "bnb"),
+    ] {
+        let catalog = if hybrid {
+            extended::hybrid_catalog()
+        } else {
+            case_study::catalog()
+        };
+        let request = shaped_request(archetype.map(Archetype::name));
+        let report = BrokerService::new(catalog.clone())
+            .solve_slo(&request)
+            .unwrap();
+        assert_eq!(report.engine(), engine, "{archetype:?}");
+        for cloud in report.clouds() {
+            let space = match archetype {
+                Some(archetype) => archetype.space(&catalog, cloud.cloud()).unwrap(),
+                None => CompositionSpace::from_serial(
+                    &SearchSpace::from_catalog(&catalog, cloud.cloud(), request.base().tiers())
+                        .unwrap(),
+                ),
+            };
+            let oracle = pareto_bnb::composition_sweep(
+                &space,
+                &request.base().tco_model(),
+                &request.constraints(),
+                request.spec().epsilon(),
+            );
+            assert_eq!(cloud.points().len(), oracle.points().len(), "{archetype:?}");
+            for (point, want) in cloud.points().iter().zip(oracle.points()) {
+                assert_eq!(point.cost_per_month(), want.ha_cost().value());
+                assert_eq!(point.uptime_percent(), want.uptime().as_percent());
+                assert_eq!(
+                    point.failover_minutes_per_month(),
+                    want.failover_minutes_per_month()
+                );
+                assert_eq!(point.tco_total(), want.evaluation().tco().total().value());
+                let labels: Vec<&str> = want
+                    .evaluation()
+                    .assignment()
+                    .iter()
+                    .zip(space.leaves())
+                    .map(|(&idx, leaf)| leaf.candidates()[idx].label())
+                    .collect();
+                assert_eq!(point.labels(), labels.as_slice(), "{archetype:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn past_cap_answers_are_byte_identical_across_services() {
+    // Past the cap one-thread branch-and-bound answers; its stats depend
+    // on nothing but the request, so two fresh services print the same
+    // bytes for recommend and frontier alike.
+    for topology in ["regional", "global"] {
+        let recommend = SolutionRequest::builder()
             .tiers(ComponentKind::paper_tiers())
+            .sla_percent(98.0)
+            .unwrap()
             .penalty_per_hour(100.0)
             .unwrap()
-            .topology("zonal"),
-        spec(BASIC_SPEC),
-    )
-    .unwrap();
-
-    for request in [&serial, &archetype] {
-        let exhaustive = BrokerService::new(case_study::catalog())
-            .with_engine(SearchEngine::Exhaustive)
-            .solve_slo(request)
+            .topology(topology)
+            .build()
             .unwrap();
-        let bnb = BrokerService::new(case_study::catalog())
-            .with_engine(SearchEngine::BranchBound)
-            .solve_slo(request)
-            .unwrap();
-        // Engine label and search stats differ by construction;
-        // everything the customer acts on — the serialized point lists
-        // and recommendations — must be byte-equal.
-        assert_eq!(exhaustive.clouds().len(), bnb.clouds().len());
-        for (a, b) in exhaustive.clouds().iter().zip(bnb.clouds()) {
-            assert_eq!(a.cloud(), b.cloud());
-            assert_eq!(a.recommended_index(), b.recommended_index());
-            assert_eq!(
-                serde_json::to_value(a.points()),
-                serde_json::to_value(b.points()),
-                "engines disagreed (topology: {:?})",
-                request.base().topology()
-            );
-        }
+        let frontier = shaped_request(Some(topology));
+        let answer = || {
+            let svc = BrokerService::new(extended::hybrid_catalog());
+            let report = svc.solve_slo(&frontier).unwrap();
+            assert!(report.clouds().iter().all(|c| c.stats().threads == 1));
+            (
+                serde_json::to_string(&svc.recommend(&recommend).unwrap()).unwrap(),
+                serde_json::to_string(&report).unwrap(),
+            )
+        };
+        assert_eq!(answer(), answer(), "{topology}");
     }
 }
 
@@ -268,11 +329,20 @@ fn slo_specs_validate_against_the_checked_in_schema() {
 #[test]
 fn live_reports_validate_against_the_response_schema() {
     let schema = load_schema("frontier_response.schema.json");
-    for engine in [SearchEngine::Exhaustive, SearchEngine::BranchBound] {
-        let report = BrokerService::new(case_study::catalog())
-            .with_engine(engine)
-            .solve_slo(&paper_request(BASIC_SPEC))
-            .unwrap();
+    // Below the cap (the sweep) and past it (branch-and-bound).
+    for (report, engine) in [
+        (
+            BrokerService::new(case_study::catalog()).solve_slo(&paper_request(BASIC_SPEC)),
+            "exhaustive",
+        ),
+        (
+            BrokerService::new(extended::hybrid_catalog())
+                .solve_slo(&shaped_request(Some("global"))),
+            "bnb",
+        ),
+    ] {
+        let report: FrontierReport = report.unwrap();
+        assert_eq!(report.engine(), engine);
         uptime_serve::schema::assert_valid(&serde_json::to_value(&report), &schema);
     }
     // A cloud with an empty frontier (hard floor met by no point on one

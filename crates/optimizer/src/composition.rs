@@ -230,10 +230,10 @@ impl CompositionSpace {
         self.leaves.len()
     }
 
-    /// Total number of assignments `Π k_i`.
+    /// Total number of assignments `Π k_i`, saturating at `u128::MAX`.
     #[must_use]
     pub fn assignment_count(&self) -> u128 {
-        self.leaves.iter().map(|c| c.len() as u128).product()
+        crate::space::saturating_count(&self.leaves)
     }
 
     /// Whether the topology is a pure serial chain (no parallel node).
@@ -559,8 +559,8 @@ impl Accum {
     };
 
     /// Extends the prefix by one chosen candidate. This is the *only*
-    /// place the recurrences live, so the cursor, the bounded walks, and
-    /// every shard combine terms in bit-identical order.
+    /// place the recurrences live, so the cursor and the bounded walks
+    /// combine terms in bit-identical order.
     #[inline]
     pub(crate) fn push(self, t: &CandidateTerms) -> Accum {
         Accum {
@@ -902,31 +902,11 @@ impl<'a> CompositionEvaluator<'a> {
     /// A cursor positioned at the all-zeros assignment.
     #[must_use]
     pub fn cursor(&self) -> CompositionCursor<'_, 'a> {
-        self.cursor_at(0)
-    }
-
-    /// A cursor positioned at the given flat (mixed-radix, lexicographic)
-    /// index — how parallel shards seed their odometer state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat_index >= space.assignment_count()`.
-    #[must_use]
-    pub fn cursor_at(&self, flat_index: u128) -> CompositionCursor<'_, 'a> {
         let n = self.terms.len();
-        let mut digits = vec![0usize; n];
-        let mut rem = flat_index;
-        for pos in (0..n).rev() {
-            let radix = self.terms[pos].len() as u128;
-            digits[pos] = (rem % radix) as usize;
-            rem /= radix;
-        }
-        assert_eq!(rem, 0, "flat index out of range for this space");
-        let states = vec![self.base_state(); n + 1];
         let mut cursor = CompositionCursor {
             eval: self,
-            digits,
-            states,
+            digits: vec![0; n],
+            states: vec![self.base_state(); n + 1],
             done: false,
         };
         cursor.refresh_from(0);
@@ -1259,7 +1239,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_cursor_at_matches_incremental_walk() {
+    fn serial_cursor_matches_from_scratch_evaluate() {
         let serial = SearchSpace::from_catalog(
             &extended::hybrid_catalog(),
             &extended::nimbus_id(),
@@ -1272,11 +1252,9 @@ mod tests {
         let mut cursor = eval.cursor();
         let mut index = 0u128;
         loop {
-            let seeded = eval.cursor_at(index);
-            assert_eq!(seeded.assignment(), cursor.assignment());
             // Bit-identical accumulators regardless of how the state was
             // reached (incremental vs from-scratch).
-            assert_eq!(seeded.evaluation(), cursor.evaluation());
+            assert_eq!(cursor.evaluation(), eval.evaluate(cursor.assignment()));
             index += 1;
             if !cursor.advance() {
                 break;
@@ -1393,9 +1371,6 @@ mod tests {
         let mut cursor = eval.cursor();
         let mut index = 0u128;
         loop {
-            let seeded = eval.cursor_at(index);
-            assert_eq!(seeded.assignment(), cursor.assignment());
-            assert_eq!(seeded.evaluation(), cursor.evaluation());
             assert_eq!(cursor.evaluation(), eval.evaluate(cursor.assignment()));
             index += 1;
             if !cursor.advance() {
@@ -1452,14 +1427,5 @@ mod tests {
         assert_eq!(space.cardinality(&[0, 0, 0, 0, 0]), 0);
         assert_eq!(space.cardinality(&[1, 0, 1, 0, 1]), 3);
         assert!((space.monthly_cost(&[1, 1, 0, 0, 1]) - 260.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "flat index out of range")]
-    fn cursor_at_rejects_out_of_range() {
-        let space = dual_site_space();
-        let model = case_study::tco_model();
-        let eval = CompositionEvaluator::new(&space, &model);
-        let _ = eval.cursor_at(space.assignment_count());
     }
 }

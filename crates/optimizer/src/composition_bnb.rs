@@ -111,7 +111,7 @@ impl BnbStats {
         self.nodes_visited += other.nodes_visited;
         self.leaves_evaluated += other.leaves_evaluated;
         self.subtrees_pruned += other.subtrees_pruned;
-        self.variants_skipped += other.variants_skipped;
+        self.variants_skipped = self.variants_skipped.saturating_add(other.variants_skipped);
     }
 }
 
@@ -387,10 +387,16 @@ type TaskWins = Vec<(usize, RankKey, Vec<usize>)>;
 /// `threads`, with `0` meaning the machine's available parallelism.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
-        crate::parallel::default_threads()
+        default_threads()
     } else {
         threads
     }
+}
+
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// The all-min-cost and all-max-availability assignments — the two
@@ -493,8 +499,8 @@ impl<'a> Descent<'a> {
     }
 
     /// Walks the subtree of prefix task `task`: a mixed-radix index over
-    /// leaves `0..split_depth`, most significant first — the same
-    /// flat-index layout [`CompositionEvaluator::cursor_at`] shards by.
+    /// leaves `0..split_depth`, most significant first — the cursor's
+    /// lexicographic order.
     pub(crate) fn run<W: Walk>(&mut self, walk: &mut W, task: usize, split_depth: usize) {
         self.stats.tasks += 1;
         let mut rem = task;
@@ -519,7 +525,10 @@ impl<'a> Descent<'a> {
 
     fn prune(&mut self, depth: usize) {
         self.stats.subtrees_pruned += 1;
-        self.stats.variants_skipped += self.suffix_size[depth];
+        self.stats.variants_skipped = self
+            .stats
+            .variants_skipped
+            .saturating_add(self.suffix_size[depth]);
     }
 
     fn leaf<W: Walk>(&mut self, walk: &mut W, acc: &Accum) {

@@ -12,8 +12,7 @@
 //! from cached per-cluster terms:
 //!
 //! * [`composition::search`] — streaming argmin over the whole space, no
-//!   per-assignment allocation; [`parallel::search_best`] shards it
-//!   across threads.
+//!   per-assignment allocation.
 //! * [`exhaustive::search`] / [`exhaustive::composition_search`] — all
 //!   `k^n` permutations materialized (paper §II.C, Fig. 10's table).
 //! * [`composition_bnb::search`] — tight-bound branch-and-bound: cost plus
@@ -69,7 +68,6 @@ pub mod exhaustive;
 pub mod greedy;
 pub mod objective;
 pub mod outcome;
-pub mod parallel;
 pub mod pareto;
 pub mod pareto_bnb;
 pub mod pruned;

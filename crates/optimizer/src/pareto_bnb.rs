@@ -368,9 +368,8 @@ pub fn sweep(
 /// final merge), filtered by the hard constraints, and dominance-filtered
 /// through the same archive and merge as [`composition_search`] — so the
 /// points, order, and representatives are bit-identical to the
-/// branch-and-bound engine's. This is the `--engine exhaustive` dispatch
-/// target; only `leaves_evaluated` in the stats differs (every leaf is
-/// visited here).
+/// branch-and-bound engine's. The broker runs it on spaces small enough
+/// to sweep; only the stats differ (every leaf is visited here).
 #[must_use]
 pub fn composition_sweep(
     space: &CompositionSpace,

@@ -233,10 +233,10 @@ impl SearchSpace {
         self.components.is_empty()
     }
 
-    /// Total number of assignments `Π k_i`.
+    /// Total number of assignments `Π k_i`, saturating at `u128::MAX`.
     #[must_use]
     pub fn assignment_count(&self) -> u128 {
-        self.components.iter().map(|c| c.len() as u128).product()
+        saturating_count(&self.components)
     }
 
     /// The all-baseline assignment, if every component has a baseline.
@@ -268,6 +268,16 @@ impl SearchSpace {
             .filter(|(&idx, comp)| !comp.candidates()[idx].is_baseline())
             .count()
     }
+}
+
+/// `Π k_i` over the given candidate sets, saturating at `u128::MAX`: a
+/// plain `u128` product wraps past 2^128 (128 two-method tiers count 0),
+/// which would make an unbounded space look small.
+pub(crate) fn saturating_count(components: &[ComponentChoices]) -> u128 {
+    components
+        .iter()
+        .try_fold(1u128, |count, c| count.checked_mul(c.len() as u128))
+        .unwrap_or(u128::MAX)
 }
 
 /// Iterator over all assignments of a [`SearchSpace`], lexicographic.
@@ -355,6 +365,24 @@ mod tests {
         let s = two_by_three();
         assert_eq!(s.assignment_count(), 6);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn assignment_count_saturates_instead_of_wrapping() {
+        let tier = ComponentChoices::new(
+            "compute",
+            vec![
+                Candidate::new("none", cluster("c0", 0.01), money(0.0), true),
+                Candidate::new("ha", cluster("c1", 0.001), money(100.0), false),
+            ],
+        )
+        .unwrap();
+        for (tiers, count) in [(127, 1u128 << 127), (128, u128::MAX), (200, u128::MAX)] {
+            let serial = SearchSpace::new(vec![tier.clone(); tiers]).unwrap();
+            assert_eq!(serial.assignment_count(), count, "{tiers} tiers");
+            let composed = crate::CompositionSpace::from_serial(&serial);
+            assert_eq!(composed.assignment_count(), count, "{tiers} tiers");
+        }
     }
 
     #[test]

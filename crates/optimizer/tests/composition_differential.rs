@@ -3,10 +3,10 @@
 //! Two contracts, checked over seeded random spaces:
 //!
 //! * **Serial special case.** On a pure-series `CompositionSpace` (built
-//!   with `from_serial`) the streaming search, the sharded streaming
-//!   search and the branch-and-bound must all return the winner of a
-//!   naive exhaustive sweep (per-assignment `Evaluation::evaluate` on the
-//!   serial chain), and be **bit-identical** (`assert_eq!` on the whole
+//!   with `from_serial`) the streaming search and the branch-and-bound
+//!   must both return the winner of a naive exhaustive sweep
+//!   (per-assignment `Evaluation::evaluate` on the serial chain), and be
+//!   **bit-identical** (`assert_eq!` on the whole
 //!   `Evaluation`) to one another and to the kernel's own evaluation of
 //!   that winner, across seeds 0–24 and 1/2/8 worker threads. The fold
 //!   multiplies by `mask = 1.0` and adds `extra_cost = 0.0`, both of
@@ -28,7 +28,7 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    composition, composition_bnb, parallel, Candidate, ComponentChoices, CompositionEvaluator,
+    composition, composition_bnb, Candidate, ComponentChoices, CompositionEvaluator,
     CompositionNode, CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
@@ -186,14 +186,6 @@ fn run_serial_differential(seed: u64) {
             space.assignment_count(),
             "seed {seed}: streaming search must visit the whole space"
         );
-        for threads in [1, 2, 8] {
-            let sharded = parallel::search_best_with_threads(&space, &model, objective, threads);
-            assert_eq!(
-                sharded.best().unwrap(),
-                best,
-                "seed {seed} x{threads}: sharded streaming diverged from the single cursor"
-            );
-        }
     }
 
     // The bounded engine is MinTco-exact; its winner must agree with the

@@ -4,10 +4,9 @@
 //! that every exact strategy agrees, each engine running on the
 //! composition kernel over the pure-series space:
 //!
-//! * `composition::search` (streaming), `parallel::search_best` (sharded
-//!   streaming), `pruned`, and `composition_bnb` must pick the **same
-//!   argmin** as the naive exhaustive reference, with TCO and uptime
-//!   within `1e-12`.
+//! * `composition::search` (streaming), `pruned`, and `composition_bnb`
+//!   must pick the **same argmin** as the naive exhaustive reference,
+//!   with TCO and uptime within `1e-12`.
 //! * `exhaustive::search` must reproduce the kernel's evaluation of every
 //!   assignment **exactly** (bit-for-bit), in lexicographic order.
 //! * `composition_bnb::search_with_threads` must return a winner
@@ -28,8 +27,8 @@ use uptime_core::{
     TcoModel,
 };
 use uptime_optimizer::{
-    composition, composition_bnb, exhaustive, greedy, parallel, pruned, Candidate,
-    ComponentChoices, CompositionEvaluator, CompositionSpace, Evaluation, Objective, SearchSpace,
+    composition, composition_bnb, exhaustive, greedy, pruned, Candidate, ComponentChoices,
+    CompositionEvaluator, CompositionSpace, Evaluation, Objective, SearchSpace,
 };
 
 /// Deterministic splitmix64 — self-contained so the harness does not
@@ -170,16 +169,6 @@ fn run_differential(seed: u64) {
             space.assignment_count(),
             "composition::search must visit the whole space"
         );
-
-        // Sharded streaming search at several thread counts.
-        for threads in [1, 2, 3, 7] {
-            let slim = parallel::search_best_with_threads(&chain, &model, objective, threads);
-            assert_same_optimum(
-                &format!("parallel::search_best x{threads}"),
-                &reference,
-                slim.best().unwrap(),
-            );
-        }
 
         // The materialized table must equal the kernel's evaluation of
         // every assignment bit-for-bit, in lexicographic order.
