@@ -1,77 +1,11 @@
 //! `brokerctl` — command-line front end to the uptime brokered service.
 //!
-//! ```text
-//! brokerctl catalog [--hybrid]
-//!     List clouds, HA methods, prices and reliability records.
-//!
-//! brokerctl recommend [--hybrid] [--json] [--archetype NAME] [REQUEST.json]
-//!     Run the full recommendation pipeline. Without a request file, uses
-//!     the paper's case-study intake (98 % SLA, $100/h penalty); with
-//!     --archetype, searches that deployment archetype's series-parallel
-//!     composition space instead of the serial chain.
-//!
-//! brokerctl frontier [--hybrid] [--json] [--archetype NAME]
-//!                    [--spec FILE | --inline JSON]
-//!     Exact feasible cost/uptime Pareto frontier per cloud for a
-//!     declarative SLO spec (hard constraints filter, weighted soft
-//!     objectives rank and pick the recommendation). Exits 3 when the
-//!     hard constraints are unsatisfiable everywhere.
-//!
-//! brokerctl sweep [--hybrid] FROM TO STEPS
-//!     SLA sweep: the winning architecture per target percentage.
-//!
-//! brokerctl settle MONTHS [SEED]
-//!     Settle a simulated multi-month contract for the case-study optimum
-//!     and compare realized payouts with Eq. 5.
-//!
-//! brokerctl metacloud
-//!     Cross-provider (metacloud) recommendation over the hybrid catalog.
-//!
-//! brokerctl serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
-//!                 [--state-dir DIR] [--fsync os|always|every:N] [--snapshot-every N]
-//!                 [--no-trace] [--trace-capacity N] [--trace-slow-ms MS]
-//!                 [--trace-sample N] [--stdin]
-//!     Run the long-lived serving daemon: newline-delimited JSON frames
-//!     over TCP, answered through a telemetry-epoch-keyed response cache,
-//!     single-flight coalescing, and a backpressured worker pool that
-//!     sheds (429) when the admission queue is full. Every request is
-//!     traced into a bounded flight recorder (tail-sampled: errors,
-//!     sheds and slow requests always kept) queryable via the `traces`
-//!     endpoint; `"explain": true` on a request frame returns an inline
-//!     per-stage breakdown. With --state-dir the broker recovers its
-//!     pre-crash state on startup and journals every accepted telemetry
-//!     batch before absorbing it. With --stdin, the legacy loop: one
-//!     SolutionRequest JSON per stdin line, one JSON response per line
-//!     ({"ok": ...} or {"error": ...}).
-//!
-//! brokerctl trace [--addr HOST:PORT] [--slowest N] [--errors] [--json|--chrome]
-//!     Pull traces from a running daemon's flight recorder: span trees
-//!     with per-stage durations (default), raw export JSON, or Chrome
-//!     trace_event JSON for chrome://tracing / Perfetto.
-//!
-//! brokerctl recover [--verify] [--json] [--compact] [--disk-chaos SEED] --state-dir DIR
-//!     Replay a state directory and report what recovery found. --verify
-//!     is a dry run that leaves the journal untouched; --compact folds
-//!     the journal into a fresh snapshot after recovery. Exits 0 on a
-//!     clean recovery, 3 when the state was degraded (torn tail,
-//!     quarantined or malformed records), 1 on I/O failure.
-//!
-//! brokerctl health [--hybrid] [--json] [--chaos] [SEED]
-//!     Register a simulated provider per cloud, drive telemetry sync
-//!     rounds, and report control-plane health plus the incident log.
-//!     With --chaos the providers misbehave (seeded fault injection).
-//!     Exits 0 when healthy, 3 when the broker is serving degraded.
-//!
-//! brokerctl obs [--json|--prom] [--hybrid] [--chaos] [--watch SECS [--iters N]] [SEED]
-//!     Drive an instrumented recommend+sync run against simulated
-//!     providers and export the metrics snapshot as JSON (default) or
-//!     Prometheus text format. --watch SECS keeps driving work and
-//!     prints one JSON line of counter deltas per tick.
-//!
-//! brokerctl help | --help
-//!     Print usage, including the exit-code contract.
-//! ```
+//! `brokerctl help` prints every command, its flags and the exit-code
+//! contract (the text is `print_help`'s, kept in one place). Each
+//! command accepts only the flags `accepted_flags` lists for it; any
+//! other flag exits 2. `serve` and `trace` parse their own arguments.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -89,120 +23,30 @@ use uptime_serve::{Server, ServerConfig};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut flags: Vec<&str> = Vec::new();
+    let mut values: BTreeMap<&str, &str> = BTreeMap::new();
     let mut positional: Vec<&str> = Vec::new();
     let mut command = None;
-    let mut state_dir: Option<String> = None;
-    let mut disk_chaos: Option<u64> = None;
-    let mut archetype: Option<String> = None;
-    let mut spec_path: Option<String> = None;
-    let mut inline_spec: Option<String> = None;
-    let mut watch: Option<u64> = None;
-    let mut iters: u64 = 0;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            flags.push(arg);
+    let mut iter = args.iter().map(String::as_str);
+    while let Some(arg) = iter.next() {
+        if !arg.starts_with("--") {
+            match command {
+                None => command = Some(arg),
+                Some(_) => positional.push(arg),
+            }
+            continue;
         }
-        if arg == "--state-dir" {
-            i += 1;
-            match args.get(i) {
-                Some(v) => state_dir = Some(v.clone()),
-                None => {
-                    eprintln!("brokerctl: --state-dir needs a directory");
-                    return ExitCode::from(2);
-                }
+        flags.push(arg);
+        if let Some((_, what, integer)) = VALUE_FLAGS.iter().find(|(flag, ..)| *flag == arg) {
+            let Some(value) = iter.next() else {
+                eprintln!("brokerctl: {arg} needs {what}");
+                return ExitCode::from(2);
+            };
+            if *integer && value.parse::<u64>().is_err() {
+                eprintln!("brokerctl: {arg} must be an integer");
+                return ExitCode::from(2);
             }
-        } else if arg == "--disk-chaos" {
-            i += 1;
-            let value = match args.get(i) {
-                Some(v) => v,
-                None => {
-                    eprintln!("brokerctl: --disk-chaos needs a seed");
-                    return ExitCode::from(2);
-                }
-            };
-            disk_chaos = match value.parse() {
-                Ok(seed) => Some(seed),
-                Err(_) => {
-                    eprintln!("brokerctl: --disk-chaos seed must be an integer");
-                    return ExitCode::from(2);
-                }
-            };
-        } else if arg == "--archetype" {
-            i += 1;
-            match args.get(i) {
-                Some(v) => archetype = Some(v.clone()),
-                None => {
-                    eprintln!(
-                        "brokerctl: --archetype needs a name (one of: {})",
-                        uptime_optimizer::Archetype::all()
-                            .iter()
-                            .map(|a| a.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg == "--spec" {
-            i += 1;
-            match args.get(i) {
-                Some(v) => spec_path = Some(v.clone()),
-                None => {
-                    eprintln!("brokerctl: --spec needs a SLO spec file");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg == "--inline" {
-            i += 1;
-            match args.get(i) {
-                Some(v) => inline_spec = Some(v.clone()),
-                None => {
-                    eprintln!("brokerctl: --inline needs a JSON SLO spec");
-                    return ExitCode::from(2);
-                }
-            }
-        } else if arg == "--watch" {
-            i += 1;
-            let value = match args.get(i) {
-                Some(v) => v,
-                None => {
-                    eprintln!("brokerctl: --watch needs an interval in seconds");
-                    return ExitCode::from(2);
-                }
-            };
-            watch = match value.parse() {
-                Ok(secs) => Some(secs),
-                Err(_) => {
-                    eprintln!("brokerctl: --watch interval must be an integer");
-                    return ExitCode::from(2);
-                }
-            };
-        } else if arg == "--iters" {
-            i += 1;
-            let value = match args.get(i) {
-                Some(v) => v,
-                None => {
-                    eprintln!("brokerctl: --iters needs a count");
-                    return ExitCode::from(2);
-                }
-            };
-            iters = match value.parse() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("brokerctl: --iters count must be an integer");
-                    return ExitCode::from(2);
-                }
-            };
-        } else if arg.starts_with("--") {
-            // A switch, collected above.
-        } else if command.is_none() {
-            command = Some(arg.as_str());
-        } else {
-            positional.push(arg);
+            values.insert(arg, value);
         }
-        i += 1;
     }
     let hybrid = flags.contains(&"--hybrid");
     let json = flags.contains(&"--json");
@@ -218,6 +62,15 @@ fn main() -> ExitCode {
         eprintln!("brokerctl {command}: unknown flag `{flag}`");
         return ExitCode::from(2);
     }
+    let integer = |flag| {
+        values
+            .get(flag)
+            .map(|v| v.parse::<u64>().expect("checked above"))
+    };
+    let (disk_chaos, watch) = (integer("--disk-chaos"), integer("--watch"));
+    let iters = integer("--iters").unwrap_or(0);
+    let state_dir = values.get("--state-dir").copied();
+    let archetype = values.get("--archetype").copied();
     if command == Some("health") {
         let chaos = flags.contains(&"--chaos");
         return match health_command(hybrid, json, chaos, positional.first().copied()) {
@@ -230,7 +83,7 @@ fn main() -> ExitCode {
         };
     }
     if command == Some("recover") {
-        let Some(dir) = state_dir.as_deref().or_else(|| positional.first().copied()) else {
+        let Some(dir) = state_dir.or_else(|| positional.first().copied()) else {
             eprintln!("brokerctl: recover needs a state directory (--state-dir DIR or DIR)");
             return ExitCode::from(2);
         };
@@ -246,21 +99,22 @@ fn main() -> ExitCode {
         };
     }
     if command == Some("frontier") {
-        if spec_path.is_some() && inline_spec.is_some() {
-            eprintln!("brokerctl: --spec and --inline are mutually exclusive");
-            return ExitCode::from(2);
-        }
-        let spec_text = match &spec_path {
-            Some(path) => match std::fs::read_to_string(path) {
+        let inline_spec = values.get("--inline").map(|spec| (*spec).to_owned());
+        let spec_text = match (values.get("--spec"), inline_spec) {
+            (Some(_), Some(_)) => {
+                eprintln!("brokerctl: --spec and --inline are mutually exclusive");
+                return ExitCode::from(2);
+            }
+            (Some(path), None) => match std::fs::read_to_string(path) {
                 Ok(text) => Some(text),
                 Err(err) => {
                     eprintln!("brokerctl: cannot read {path}: {err}");
                     return ExitCode::FAILURE;
                 }
             },
-            None => inline_spec.clone(),
+            (None, inline_spec) => inline_spec,
         };
-        return match frontier_command(hybrid, json, archetype.as_deref(), spec_text) {
+        return match frontier_command(hybrid, json, archetype, spec_text) {
             Ok(true) => ExitCode::from(3),
             Ok(false) => ExitCode::SUCCESS,
             Err(err) => {
@@ -274,8 +128,8 @@ fn main() -> ExitCode {
         Some("recommend") => recommend_command(
             hybrid,
             json,
-            state_dir.as_deref(),
-            archetype.as_deref(),
+            state_dir,
+            archetype,
             positional.first().copied(),
         ),
         Some("sweep") => sweep_command(hybrid, &positional),
@@ -307,6 +161,18 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The flags that take a value: what the value is, and whether it must be
+/// an integer.
+const VALUE_FLAGS: [(&str, &str, bool); 7] = [
+    ("--state-dir", "a directory", false),
+    ("--disk-chaos", "a seed", true),
+    ("--archetype", "an archetype name", false),
+    ("--spec", "a SLO spec file", false),
+    ("--inline", "a JSON SLO spec", false),
+    ("--watch", "an interval in seconds", true),
+    ("--iters", "a count", true),
+];
 
 /// The flags a command takes; `None` for `serve` and `trace`, which parse
 /// their own arguments, and for unknown commands.

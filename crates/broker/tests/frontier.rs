@@ -92,24 +92,31 @@ fn engines_answer_bit_identically_serial_and_archetype() {
                 &request.constraints(),
                 request.spec().epsilon(),
             );
-            assert_eq!(cloud.points().len(), oracle.points().len(), "{archetype:?}");
-            for (point, want) in cloud.points().iter().zip(oracle.points()) {
-                assert_eq!(point.cost_per_month(), want.ha_cost().value());
-                assert_eq!(point.uptime_percent(), want.uptime().as_percent());
-                assert_eq!(
-                    point.failover_minutes_per_month(),
-                    want.failover_minutes_per_month()
-                );
-                assert_eq!(point.tco_total(), want.evaluation().tco().total().value());
-                let labels: Vec<&str> = want
-                    .evaluation()
-                    .assignment()
-                    .iter()
-                    .zip(space.leaves())
-                    .map(|(&idx, leaf)| leaf.candidates()[idx].label())
-                    .collect();
-                assert_eq!(point.labels(), labels.as_slice(), "{archetype:?}");
-            }
+            let served: Vec<_> = cloud
+                .points()
+                .iter()
+                .map(|p| {
+                    let axes = [p.cost_per_month(), p.uptime_percent()];
+                    let rest = [p.failover_minutes_per_month(), p.tco_total()];
+                    (axes, rest, p.labels().to_vec())
+                })
+                .collect();
+            let swept: Vec<_> = oracle
+                .points()
+                .iter()
+                .map(|p| {
+                    let axes = [p.ha_cost().value(), p.uptime().as_percent()];
+                    let tco = p.evaluation().tco().total().value();
+                    let labels = (p.evaluation().assignment().iter().zip(space.leaves()))
+                        .map(|(&idx, leaf)| leaf.candidates()[idx].label().to_owned());
+                    (
+                        axes,
+                        [p.failover_minutes_per_month(), tco],
+                        labels.collect(),
+                    )
+                })
+                .collect();
+            assert_eq!(served, swept, "{archetype:?}");
         }
     }
 }

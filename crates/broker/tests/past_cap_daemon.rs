@@ -1,16 +1,13 @@
 //! A daemon stays responsive to frames whose spaces cannot be enumerated.
 //!
 //! Thirty serial `Compute` tiers hold 2^30 variants. Past the 4,096-variant
-//! table cap the broker runs one-thread branch-and-bound, which answers
-//! such a frame in milliseconds; enumerating it would hold a worker for
-//! about a minute. Eight distinct 30-tier frames (four `recommend`, four
-//! `frontier`) go to a default 4-worker daemon, and then the paper's
-//! `recommend`, a cache miss that needs a worker of its own, must come
-//! back within a second.
-//!
-//! The follow-up is a `recommend`, not a `ping`: the daemon answers `ping`
-//! on the connection's reader thread, so a `ping` returns even while
-//! every worker is busy.
+//! table cap the broker answers them with one-thread branch-and-bound in
+//! milliseconds; enumerating one would hold a worker for about a minute.
+//! After four distinct 30-tier `recommend` frames and four `frontier`
+//! frames reach a default 4-worker daemon, the paper's `recommend` — a
+//! cache miss that needs a worker — must come back within a second. (A
+//! `ping` would prove nothing: the reader thread answers it even while
+//! every worker is busy.)
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,42 +19,18 @@ use uptime_catalog::case_study;
 use uptime_obs::MetricsRegistry;
 use uptime_serve::{RequestFrame, ResponseFrame, Server, ServerConfig, Status};
 
-/// The tiers the heavy frames name: 2^30 variants on the case-study
-/// catalog, whose `Compute` tier has two HA methods.
-const HEAVY_TIERS: usize = 30;
-
-/// How long the follow-up may take.
-const FOLLOW_UP_BUDGET: Duration = Duration::from_secs(1);
-
-/// A request body: `tiers` at a 98 % SLA and the given penalty rate, so
-/// distinct rates make distinct cache keys.
-fn body(tiers: &[&str], rate: f64, slo: bool) -> serde_json::Value {
-    let mut body = serde_json::json!({
+/// Sends one frame for `tiers` at the given penalty rate (distinct rates
+/// make distinct cache keys) on a fresh connection.
+fn send(addr: SocketAddr, id: u64, endpoint: &str, tiers: &[&str], rate: f64) -> TcpStream {
+    let body = serde_json::json!({
         "tiers": tiers,
         "sla": { "target": 0.98 },
         "penalty": { "PerHour": { "rate": rate } },
-        "rounding": "CeilHour",
-        "clouds": [],
-        "as_is": null,
+        "slo": { "objectives": [ { "metric": "uptime", "threshold": 98.0, "mode": "hard" } ] },
     });
-    if slo {
-        if let serde_json::Value::Object(map) = &mut body {
-            map.insert(
-                "slo".to_owned(),
-                serde_json::json!({ "objectives": [
-                    { "metric": "uptime", "threshold": 98.0, "mode": "hard" }
-                ] }),
-            );
-        }
-    }
-    body
-}
-
-/// Sends one frame on a fresh connection and returns the connection.
-fn send(addr: SocketAddr, frame: &RequestFrame) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("daemon accepts");
-    let mut text = serde_json::to_string(frame).expect("frame serializes");
+    let mut text = serde_json::to_string(&RequestFrame::new(id, endpoint, body)).unwrap();
     text.push('\n');
+    let mut stream = TcpStream::connect(addr).expect("daemon accepts");
     stream.write_all(text.as_bytes()).expect("send frame");
     stream
 }
@@ -70,52 +43,49 @@ fn read_reply(stream: TcpStream) -> std::io::Result<ResponseFrame> {
 
 #[test]
 fn heavy_frames_leave_a_worker_for_the_next_miss() {
-    let broker = Arc::new(BrokerService::new(case_study::catalog()));
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         ..ServerConfig::default()
     };
     assert_eq!(config.workers, 4);
-    let mut handle = Server::start(
-        Arc::new(ServingBroker::new(broker)),
-        config,
-        Arc::new(MetricsRegistry::new()),
-    )
-    .expect("daemon binds");
+    let broker = Arc::new(BrokerService::new(case_study::catalog()));
+    let backend = Arc::new(ServingBroker::new(broker));
+    let mut handle = Server::start(backend, config, Arc::new(MetricsRegistry::new())).unwrap();
     let addr = handle.local_addr();
 
-    let heavy = vec!["Compute"; HEAVY_TIERS];
+    let heavy = vec!["Compute"; 30];
     let mut pending = Vec::new();
-    for i in 0..4u32 {
-        let rate = 100.0 + f64::from(i);
-        let recommend = RequestFrame::new(u64::from(i), "recommend", body(&heavy, rate, false));
-        pending.push(send(addr, &recommend));
-        let frontier = RequestFrame::new(u64::from(i) + 4, "frontier", body(&heavy, rate, true));
-        pending.push(send(addr, &frontier));
+    for i in 0..4 {
+        let rate = 100.0 + i as f64;
+        pending.push(send(addr, i, "recommend", &heavy, rate));
+        pending.push(send(addr, i + 4, "frontier", &heavy, rate));
     }
 
     let paper = ["Compute", "Storage", "NetworkGateway"];
-    let follow_up = send(
-        addr,
-        &RequestFrame::new(99, "recommend", body(&paper, 100.0, false)),
-    );
+    let follow_up = send(addr, 99, "recommend", &paper, 100.0);
     follow_up
-        .set_read_timeout(Some(FOLLOW_UP_BUDGET))
-        .expect("set timeout");
-    let reply = match read_reply(follow_up) {
-        Ok(reply) => reply,
-        // Leave the workers to whatever holds them: joining would wait
-        // for it.
-        Err(err) => panic!("the paper recommend missed its {FOLLOW_UP_BUDGET:?} budget: {err}"),
-    };
-    assert_eq!(reply.id, 99);
-    assert_eq!(reply.status, Status::Ok, "{reply:?}");
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    // On a timeout, leave the workers to whatever holds them: joining
+    // would wait for it.
+    let reply = read_reply(follow_up).expect("the paper recommend is answered within 1 s");
+    assert_eq!((reply.id, reply.status), (99, Status::Ok), "{reply:?}");
 
-    // Every heavy frame is answered too, from the winner-only table or
-    // the branch-and-bound frontier.
     for stream in pending {
         let reply = read_reply(stream).expect("heavy frame answered");
         assert_eq!(reply.status, Status::Ok, "{reply:?}");
+        if reply.id < 4 {
+            // The bound accounts for every one of the 2^30 variants.
+            let body = reply.body.expect("recommend body");
+            let stats = body
+                .get("clouds")
+                .and_then(|c| c.as_array()?.first()?.get("stats"));
+            let count = |key| stats.and_then(|s| s.get(key)).and_then(|v| v.as_u64());
+            assert_eq!(
+                count("evaluated").zip(count("skipped")).map(|(e, s)| e + s),
+                Some(1 << 30)
+            );
+        }
     }
     handle.shutdown();
 }
