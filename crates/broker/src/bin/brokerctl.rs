@@ -1,9 +1,79 @@
 //! `brokerctl` — command-line front end to the uptime brokered service.
 //!
-//! `brokerctl help` prints every command, its flags and the exit-code
-//! contract (the text is `print_help`'s, kept in one place). Each
-//! command accepts only the flags `accepted_flags` lists for it; any
-//! other flag exits 2. `serve` and `trace` parse their own arguments.
+//! ```text
+//! brokerctl catalog [--hybrid]
+//!     List clouds, HA methods, prices and reliability records.
+//!
+//! brokerctl recommend [--hybrid] [--json] [--archetype NAME] [REQUEST.json]
+//!     Run the full recommendation pipeline. Without a request file, uses
+//!     the paper's case-study intake (98 % SLA, $100/h penalty); with
+//!     --archetype, searches that deployment archetype's series-parallel
+//!     composition space instead of the serial chain.
+//!
+//! brokerctl frontier [--hybrid] [--json] [--archetype NAME]
+//!                    [--spec FILE | --inline JSON]
+//!     Exact feasible cost/uptime Pareto frontier per cloud for a
+//!     declarative SLO spec (hard constraints filter, weighted soft
+//!     objectives rank and pick the recommendation). Exits 3 when the
+//!     hard constraints are unsatisfiable everywhere.
+//!
+//! brokerctl sweep [--hybrid] FROM TO STEPS
+//!     SLA sweep: the winning architecture per target percentage.
+//!
+//! brokerctl settle MONTHS [SEED]
+//!     Settle a simulated multi-month contract for the case-study optimum
+//!     and compare realized payouts with Eq. 5.
+//!
+//! brokerctl metacloud
+//!     Cross-provider (metacloud) recommendation over the hybrid catalog.
+//!
+//! brokerctl serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
+//!                 [--state-dir DIR] [--fsync os|always|every:N] [--snapshot-every N]
+//!                 [--no-trace] [--trace-capacity N] [--trace-slow-ms MS]
+//!                 [--trace-sample N] [--stdin]
+//!     Run the long-lived serving daemon: newline-delimited JSON frames
+//!     over TCP, answered through a telemetry-epoch-keyed response cache,
+//!     single-flight coalescing, and a backpressured worker pool that
+//!     sheds (429) when the admission queue is full. Every request is
+//!     traced into a bounded flight recorder (tail-sampled: errors,
+//!     sheds and slow requests always kept) queryable via the `traces`
+//!     endpoint; `"explain": true` on a request frame returns an inline
+//!     per-stage breakdown. With --state-dir the broker recovers its
+//!     pre-crash state on startup and journals every accepted telemetry
+//!     batch before absorbing it. With --stdin, the legacy loop: one
+//!     SolutionRequest JSON per stdin line, one JSON response per line
+//!     ({"ok": ...} or {"error": ...}).
+//!
+//! brokerctl trace [--addr HOST:PORT] [--slowest N] [--errors] [--json|--chrome]
+//!     Pull traces from a running daemon's flight recorder: span trees
+//!     with per-stage durations (default), raw export JSON, or Chrome
+//!     trace_event JSON for chrome://tracing / Perfetto.
+//!
+//! brokerctl recover [--verify] [--json] [--compact] [--disk-chaos SEED] --state-dir DIR
+//!     Replay a state directory and report what recovery found. --verify
+//!     is a dry run that leaves the journal untouched; --compact folds
+//!     the journal into a fresh snapshot after recovery. Exits 0 on a
+//!     clean recovery, 3 when the state was degraded (torn tail,
+//!     quarantined or malformed records), 1 on I/O failure.
+//!
+//! brokerctl health [--hybrid] [--json] [--chaos] [SEED]
+//!     Register a simulated provider per cloud, drive telemetry sync
+//!     rounds, and report control-plane health plus the incident log.
+//!     With --chaos the providers misbehave (seeded fault injection).
+//!     Exits 0 when healthy, 3 when the broker is serving degraded.
+//!
+//! brokerctl obs [--json|--prom] [--hybrid] [--chaos] [--watch SECS [--iters N]] [SEED]
+//!     Drive an instrumented recommend+sync run against simulated
+//!     providers and export the metrics snapshot as JSON (default) or
+//!     Prometheus text format. --watch SECS keeps driving work and
+//!     prints one JSON line of counter deltas per tick.
+//!
+//! brokerctl help | --help
+//!     Print usage, including the exit-code contract.
+//! ```
+//!
+//! A command given a flag it does not take exits 2 and names the flag;
+//! `serve` and `trace` parse their own arguments.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -204,7 +204,7 @@ pub(crate) fn joint_space(
         let mut candidates = Vec::new();
         let mut tier_keys = Vec::new();
         for cloud in clouds {
-            let profile = catalog.cloud(cloud).expect("validated above");
+            let profile = catalog.cloud(cloud).expect("callers pass known clouds");
             if profile.reliability(*kind).is_none() {
                 continue;
             }

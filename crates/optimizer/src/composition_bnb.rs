@@ -696,6 +696,25 @@ mod tests {
     }
 
     #[test]
+    fn skipped_variants_saturate_instead_of_wrapping() {
+        // Five tiers of 70,000 candidates: every subtree under a first
+        // choice holds 70,000^4 > u64::MAX variants, and every first
+        // choice but the free one is pruned, so an unsaturated count
+        // overflows on the second prune.
+        let k = 70_000;
+        let downs: Vec<f64> = (0..k).map(|i| if i == 0 { 0.01 } else { 0.001 }).collect();
+        let costs: Vec<f64> = (0..k)
+            .map(|i| if i == 0 { 0.0 } else { 1e4 + i as f64 })
+            .collect();
+        let tiers = (0..5).map(|t| component(&format!("t{t}"), &downs, &costs));
+        let space = CompositionSpace::from_serial(&SearchSpace::new(tiers.collect()).unwrap());
+        let (outcome, stats) = search_with_stats(&space, &case_study::tco_model(), 1);
+        assert_eq!(outcome.best().unwrap().assignment(), &[0; 5]);
+        assert!(stats.subtrees_pruned >= 2, "{stats:?}");
+        assert_eq!(stats.variants_skipped, u64::MAX);
+    }
+
+    #[test]
     fn finds_paper_optimum() {
         let space = paper_space();
         let model = case_study::tco_model();
