@@ -7,11 +7,9 @@
 //! cargo run --release -p uptime-bench --bin bench [-- out.json]
 //! ```
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use uptime_bench::{
-    hybrid_metacloud_space, paper_model, paper_space, synthetic_model, synthetic_space,
+    hybrid_metacloud_space, paper_model, paper_space, synthetic_model, synthetic_space, time_ns,
+    variants_per_sec,
 };
 use uptime_core::TcoModel;
 use uptime_optimizer::{composition, CompositionSpace, Evaluation, Objective, SearchSpace};
@@ -24,19 +22,6 @@ fn naive_sweep(space: &SearchSpace, model: &TcoModel) -> Evaluation {
         .map(|a| Evaluation::evaluate(space, model, &a))
         .collect();
     Objective::MinTco.best(&evaluations).unwrap().clone()
-}
-
-/// Times `body` over `reps` runs and returns the best (least-noise) wall
-/// time in nanoseconds.
-fn time_ns<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = body();
-        best = best.min(start.elapsed().as_nanos());
-        black_box(&out);
-    }
-    best
 }
 
 struct Row {
@@ -110,14 +95,6 @@ fn measure(name: &'static str, space: &SearchSpace, model: &TcoModel, reps: u32)
             )
         }),
         spans: span_breakdown(chain, model),
-    }
-}
-
-fn variants_per_sec(assignments: u128, ns: u128) -> f64 {
-    if ns == 0 {
-        f64::INFINITY
-    } else {
-        assignments as f64 / (ns as f64 / 1e9)
     }
 }
 

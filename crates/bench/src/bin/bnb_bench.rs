@@ -14,46 +14,18 @@
 //! billion variants) is never enumerated — branch-and-bound must complete
 //! it outright, and the enumeration cost is projected from the measured
 //! `6^9` throughput.
+//!
+//! The `frontier_6^6` section gates the Pareto frontier the same way: on
+//! synthetic `6^6` the epsilon-dominance branch-and-bound (best of 3)
+//! must be ≥5× faster than one naive O(N²) dominance sweep and return
+//! the same points (representative assignment, cost and uptime).
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use uptime_bench::{synthetic_model, synthetic_space};
+use uptime_bench::{stats_json, synthetic_model, synthetic_space, time_ns, variants_per_sec};
 use uptime_core::TcoModel;
-use uptime_optimizer::{composition, composition_bnb, BnbStats, CompositionSpace, Objective};
-
-/// Times `body` over `reps` runs and returns the best (least-noise) wall
-/// time in nanoseconds.
-fn time_ns<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = body();
-        best = best.min(start.elapsed().as_nanos());
-        black_box(&out);
-    }
-    best
-}
-
-fn variants_per_sec(assignments: u128, ns: u128) -> f64 {
-    if ns == 0 {
-        f64::INFINITY
-    } else {
-        assignments as f64 / (ns as f64 / 1e9)
-    }
-}
-
-fn stats_json(ns: u128, stats: &BnbStats) -> serde_json::Value {
-    serde_json::json!({
-        "total_ns": ns as u64,
-        "threads": stats.threads,
-        "tasks": stats.tasks,
-        "nodes_visited": stats.nodes_visited,
-        "leaves_evaluated": stats.leaves_evaluated,
-        "subtrees_pruned": stats.subtrees_pruned,
-        "variants_skipped": stats.variants_skipped,
-    })
-}
+use uptime_optimizer::{
+    composition, composition_bnb, pareto_bnb, BnbStats, CompositionSpace, Objective, ParetoPoint,
+    ParetoStats,
+};
 
 /// One recorded parallel run on the space, distilled to the
 /// `optimizer.bnb.*` counters, gauge, and span the engine flushes.
@@ -172,6 +144,58 @@ fn measure(n: usize, k: usize, reps: u32, enumerate: bool) -> Row {
     }
 }
 
+/// The `6^6` Pareto-frontier measurement behind the `frontier_6^6` gates.
+struct Frontier {
+    assignments: u128,
+    bnb_ns: u128,
+    naive_ns: u128,
+    stats: ParetoStats,
+    matches_naive: bool,
+}
+
+impl Frontier {
+    fn speedup(&self) -> f64 {
+        self.naive_ns as f64 / self.bnb_ns.max(1) as f64
+    }
+}
+
+/// Times the frontier branch-and-bound (best of 3) against one naive
+/// dominance sweep, which is too slow to repeat, and compares the points.
+fn measure_frontier() -> Frontier {
+    let space = synthetic_space(6, 6);
+    let chain = CompositionSpace::from_serial(&space);
+    let model = synthetic_model();
+    let constraints = pareto_bnb::FrontierConstraints::NONE;
+    let epsilon = 1e-9;
+
+    let mut naive = Vec::new();
+    let naive_ns = time_ns(1, || {
+        naive = pareto_bnb::naive_frontier(&space, &model, &constraints);
+    });
+    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, epsilon);
+    let bnb_ns = time_ns(3, || {
+        pareto_bnb::composition_search(&chain, &model, &constraints, epsilon)
+    });
+
+    // The frontier contract, not whole `Evaluation`s: fields off the
+    // frontier axes are summed in a different order by the fast path and
+    // may differ in the last ulp (see `tests/frontier_gate.rs`).
+    let key = |p: &ParetoPoint| {
+        (
+            p.evaluation().assignment().to_vec(),
+            p.ha_cost().value(),
+            p.uptime().value(),
+        )
+    };
+    Frontier {
+        assignments: space.assignment_count(),
+        bnb_ns,
+        naive_ns,
+        stats: *bnb.stats(),
+        matches_naive: !naive.is_empty() && bnb.points().iter().map(key).eq(naive.iter().map(key)),
+    }
+}
+
 fn main() {
     let mut out_path = "BENCH_PR5.json".to_string();
     let mut enforce = false;
@@ -235,6 +259,8 @@ fn main() {
     let enum_rate = variants_per_sec(mid.assignments, mid.fast_ns.expect("6^9 is enumerated"));
     let projected_enumeration_ns = big.assignments as f64 / enum_rate * 1e9;
 
+    let frontier = measure_frontier();
+
     let gates = [
         (
             "speedup_6^9 >= 10x vs single-threaded enumeration",
@@ -245,6 +271,14 @@ fn main() {
         (
             "6^12 completed without enumeration",
             big.bnb_parallel_stats.leaves_evaluated > 0,
+        ),
+        (
+            "frontier_6^6 bnb >= 5x vs the naive dominance sweep",
+            frontier.speedup() >= 5.0,
+        ),
+        (
+            "frontier_6^6 points equal the naive dominance sweep",
+            frontier.matches_naive,
         ),
     ];
     let mut all_pass = true;
@@ -261,6 +295,14 @@ fn main() {
         big.bnb_parallel_ns as f64 / 1e6,
         projected_enumeration_ns / 1e9,
     );
+    println!(
+        "frontier 6^6: bnb {:.2} ms vs naive sweep {:.0} ms ({:.0}x), {} points, matches naive: {}",
+        frontier.bnb_ns as f64 / 1e6,
+        frontier.naive_ns as f64 / 1e6,
+        frontier.speedup(),
+        frontier.stats.frontier_size,
+        frontier.matches_naive,
+    );
 
     let report = serde_json::json!({
         "benchmark": "BENCH_PR5",
@@ -271,6 +313,16 @@ fn main() {
         "pruning_active_6^9": pruning_active,
         "projected_6^12_enumeration_ns": projected_enumeration_ns,
         "bnb_6^12_parallel_ns": big.bnb_parallel_ns as u64,
+        "frontier_6^6": {
+            "assignments": frontier.assignments as u64,
+            "frontier_size": frontier.stats.frontier_size,
+            "leaves_evaluated": frontier.stats.leaves_evaluated,
+            "subtrees_pruned": frontier.stats.subtrees_pruned,
+            "bnb_ns": frontier.bnb_ns as u64,
+            "naive_ns": frontier.naive_ns as u64,
+            "speedup_bnb_vs_naive": frontier.speedup(),
+            "matches_naive": frontier.matches_naive,
+        },
         "gates_pass": all_pass,
         "obs": obs_section(
             &CompositionSpace::from_serial(&synthetic_space(9, 6)),

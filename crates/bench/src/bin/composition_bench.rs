@@ -15,47 +15,14 @@
 //! The large space (`4^10` ≈ 1 M variants) is never naive-swept in full —
 //! its `Block` cost is projected from a measured sample.
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use uptime_bench::{paper_catalog, paper_cloud, paper_model, synthetic_model, synthetic_space};
+use uptime_bench::{
+    paper_catalog, paper_cloud, paper_model, stats_json, synthetic_model, synthetic_space, time_ns,
+    variants_per_sec,
+};
 use uptime_core::{MoneyPerMonth, TcoModel};
 use uptime_optimizer::{
     composition, composition_bnb, Archetype, BnbStats, CompositionNode, CompositionSpace, Objective,
 };
-
-/// Times `body` over `reps` runs and returns the best (least-noise) wall
-/// time in nanoseconds.
-fn time_ns<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = body();
-        best = best.min(start.elapsed().as_nanos());
-        black_box(&out);
-    }
-    best
-}
-
-fn variants_per_sec(assignments: u128, ns: u128) -> f64 {
-    if ns == 0 {
-        f64::INFINITY
-    } else {
-        assignments as f64 / (ns as f64 / 1e9)
-    }
-}
-
-fn stats_json(ns: u128, stats: &BnbStats) -> serde_json::Value {
-    serde_json::json!({
-        "total_ns": ns as u64,
-        "threads": stats.threads,
-        "tasks": stats.tasks,
-        "nodes_visited": stats.nodes_visited,
-        "leaves_evaluated": stats.leaves_evaluated,
-        "subtrees_pruned": stats.subtrees_pruned,
-        "variants_skipped": stats.variants_skipped,
-    })
-}
 
 /// A gateway tier in series with `zones` parallel replica stacks of
 /// `per_zone` components each, every leaf with `k` HA candidates —

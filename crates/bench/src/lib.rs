@@ -1,9 +1,13 @@
 //! Shared workload builders for the reproduction harness and Criterion
 //! benches. Each function corresponds to an experiment row in DESIGN.md's
-//! experiment index.
+//! experiment index. The kernel benchmark binaries and the overhead tests
+//! also share one best-of timer ([`time_ns`]) and its report helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use uptime_broker::{BrokerService, SolutionRequest};
 use uptime_catalog::{case_study, extended, CatalogStore, CloudId, ComponentKind, HaMethodId};
@@ -11,7 +15,7 @@ use uptime_core::{
     ClusterSpec, FailuresPerYear, Minutes, MoneyPerMonth, PenaltyClause, Probability, SlaTarget,
     SystemSpec, TcoModel,
 };
-use uptime_optimizer::{Candidate, ComponentChoices, SearchSpace};
+use uptime_optimizer::{BnbStats, Candidate, ComponentChoices, SearchSpace};
 
 /// The paper's catalog (three tiers, two HA choices each).
 #[must_use]
@@ -187,6 +191,45 @@ pub fn synthetic_model() -> TcoModel {
         SlaTarget::from_percent(98.0).expect("constant"),
         PenaltyClause::per_hour(100.0).expect("constant"),
     )
+}
+
+/// Times `body` over `reps` runs and returns the best (least-noise) wall
+/// time in nanoseconds. Each run's output goes through
+/// [`black_box`], so the work cannot be optimized away.
+pub fn time_ns<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
+    let mut best = u128::MAX;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let out = body();
+        best = best.min(start.elapsed().as_nanos());
+        black_box(&out);
+    }
+    best
+}
+
+/// Sweep throughput: `assignments` variants in `ns` nanoseconds, as
+/// variants per second (infinite when the time rounds to zero).
+#[must_use]
+pub fn variants_per_sec(assignments: u128, ns: u128) -> f64 {
+    if ns == 0 {
+        f64::INFINITY
+    } else {
+        assignments as f64 / (ns as f64 / 1e9)
+    }
+}
+
+/// A branch-and-bound run's wall time and counters, as a report object.
+#[must_use]
+pub fn stats_json(ns: u128, stats: &BnbStats) -> serde_json::Value {
+    serde_json::json!({
+        "total_ns": ns as u64,
+        "threads": stats.threads,
+        "tasks": stats.tasks,
+        "nodes_visited": stats.nodes_visited,
+        "leaves_evaluated": stats.leaves_evaluated,
+        "subtrees_pruned": stats.subtrees_pruned,
+        "variants_skipped": stats.variants_skipped,
+    })
 }
 
 #[cfg(test)]

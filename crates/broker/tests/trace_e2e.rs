@@ -170,6 +170,22 @@ fn slowest_trace_attributes_time_to_the_delayed_harvest() {
     assert!(text.contains("endpoint=sync"), "{text}");
     assert!(text.contains("broker.sync.harvest"), "{text}");
 
+    // The Chrome trace-event form holds only complete ("X") events.
+    let chrome = brokerctl(&["trace", "--addr", &addr_text, "--slowest", "2", "--chrome"]);
+    assert!(chrome.status.success(), "{chrome:?}");
+    let chrome: Value = serde_json::from_slice(&chrome.stdout).expect("chrome export parses");
+    let events = get(&chrome, "traceEvents").as_array().expect("traceEvents");
+    assert!(!events.is_empty(), "empty chrome export: {chrome}");
+    for event in events {
+        assert_eq!(get(event, "ph").as_str(), Some("X"), "{event}");
+    }
+
+    // One output form at a time.
+    let both = brokerctl(&["trace", "--addr", &addr_text, "--json", "--chrome"]);
+    assert!(!both.status.success(), "{both:?}");
+    let stderr = String::from_utf8(both.stderr).expect("utf8");
+    assert!(stderr.contains("mutually exclusive"), "{stderr}");
+
     handle.shutdown();
 }
 

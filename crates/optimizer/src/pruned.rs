@@ -58,42 +58,6 @@ use crate::space::SearchSpace;
 /// ```
 #[must_use]
 pub fn search(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
-    search_core(space, model, objective)
-}
-
-/// [`search`] with observability: an `optimizer.pruned.search` span around
-/// the identical algorithm, flushing `optimizer.pruned.evaluated`,
-/// `optimizer.pruned.skipped`, and the `optimizer.pruned.cut_rate` gauge
-/// (skipped / considered) once at the end. `parent` hangs a matching
-/// trace span (evaluated/skipped attached) under the caller's request
-/// trace; pass [`uptime_obs::TraceSpan::disabled`] outside one.
-#[must_use]
-pub fn search_recorded(
-    space: &SearchSpace,
-    model: &TcoModel,
-    objective: Objective,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.pruned.search");
-    let mut trace_span = parent.child("optimizer.pruned.search");
-    let outcome = search_core(space, model, objective);
-    let stats = outcome.stats();
-    rec.counter_add("optimizer.pruned.evaluated", stats.evaluated);
-    rec.counter_add("optimizer.pruned.skipped", stats.skipped);
-    let considered = stats.considered();
-    if considered > 0 {
-        rec.gauge_set(
-            "optimizer.pruned.cut_rate",
-            stats.skipped as f64 / considered as f64,
-        );
-    }
-    trace_span.attr_u64("evaluated", stats.evaluated);
-    trace_span.attr_u64("skipped", stats.skipped);
-    outcome
-}
-
-fn search_core(space: &SearchSpace, model: &TcoModel, objective: Objective) -> SearchOutcome {
     let sla = model.sla();
     let chain = CompositionSpace::from_serial(space);
     let eval = CompositionEvaluator::new(&chain, model);
@@ -219,27 +183,6 @@ mod tests {
             );
             assert!(fast.stats().evaluated <= full.stats().evaluated, "{cloud}");
         }
-    }
-
-    #[test]
-    fn recorded_search_reports_cut_rate() {
-        let space = paper_space();
-        let model = case_study::tco_model();
-        let registry = uptime_obs::MetricsRegistry::new();
-        let plain = search(&space, &model, Objective::MinTco);
-        let recorded = search_recorded(
-            &space,
-            &model,
-            Objective::MinTco,
-            &registry,
-            &uptime_obs::TraceSpan::disabled(),
-        );
-        assert_eq!(plain, recorded, "instrumentation must not change results");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("optimizer.pruned.evaluated"), Some(7));
-        assert_eq!(snap.counter("optimizer.pruned.skipped"), Some(1));
-        let cut = snap.gauge("optimizer.pruned.cut_rate").unwrap();
-        assert!((cut - 1.0 / 8.0).abs() < 1e-12, "{cut}");
     }
 
     #[test]
