@@ -23,7 +23,7 @@ fn bench_paper_space_algorithms(c: &mut Criterion) {
         b.iter(|| pruned::search(black_box(&space), &model, Objective::MinTco))
     });
     group.bench_function("branch_bound", |b| {
-        b.iter(|| composition_bnb::search(black_box(&chain), &model))
+        b.iter(|| composition_bnb::search(black_box(&chain), &model, 1))
     });
     group.bench_function("greedy", |b| {
         b.iter(|| greedy::search(black_box(&space), &model, Objective::MinTco))
@@ -44,7 +44,7 @@ fn bench_scaling(c: &mut Criterion) {
         });
         let chain = CompositionSpace::from_serial(&space);
         group.bench_with_input(BenchmarkId::new("branch_bound", n), &chain, |b, s| {
-            b.iter(|| composition_bnb::search(s, &model))
+            b.iter(|| composition_bnb::search(s, &model, 1))
         });
         group.bench_with_input(BenchmarkId::new("greedy", n), &space, |b, s| {
             b.iter(|| greedy::search(s, &model, Objective::MinTco))
@@ -63,7 +63,7 @@ fn bench_wider_choice_sets(c: &mut Criterion) {
         });
         let chain = CompositionSpace::from_serial(&space);
         group.bench_with_input(BenchmarkId::new("branch_bound", k), &chain, |b, s| {
-            b.iter(|| composition_bnb::search(s, &model))
+            b.iter(|| composition_bnb::search(s, &model, 1))
         });
         group.bench_with_input(BenchmarkId::new("anneal", k), &space, |b, s| {
             b.iter(|| anneal::search(s, &model, Objective::MinTco))

@@ -1,10 +1,10 @@
 //! PR 5 benchmark driver: bounded parallel branch-and-bound against the
 //! factorized streaming enumeration on synthetic `6^6`, `6^9`, and `6^12`
-//! spaces, emitting machine-readable `BENCH_PR5.json` (written to the
-//! working directory, or to the path given as the first argument).
+//! spaces, emitting a machine-readable report in the `BENCH_PR5.json`
+//! shape to the path given as the first argument.
 //!
 //! ```text
-//! cargo run --release -p uptime-bench --bin bnb_bench [-- out.json] [--enforce]
+//! cargo run --release -p uptime-bench --bin bnb_bench -- out.json [--enforce]
 //! ```
 //!
 //! With `--enforce` the acceptance gates become hard failures (nonzero
@@ -20,55 +20,13 @@
 //! must be ≥5× faster than one naive O(N²) dominance sweep and return
 //! the same points (representative assignment, cost and uptime).
 
-use uptime_bench::{stats_json, synthetic_model, synthetic_space, time_ns, variants_per_sec};
-use uptime_core::TcoModel;
+use uptime_bench::{
+    stats_json, synthetic_model, synthetic_space, time_ns, usage_exit, variants_per_sec,
+};
 use uptime_optimizer::{
     composition, composition_bnb, pareto_bnb, BnbStats, CompositionSpace, Objective, ParetoPoint,
     ParetoStats,
 };
-
-/// One recorded parallel run on the space, distilled to the
-/// `optimizer.bnb.*` counters, gauge, and span the engine flushes.
-fn obs_section(space: &CompositionSpace, model: &TcoModel) -> serde_json::Value {
-    let registry = uptime_obs::MetricsRegistry::new();
-    let _ = composition_bnb::search_with_threads_recorded(
-        space,
-        model,
-        0,
-        &registry,
-        &uptime_obs::TraceSpan::disabled(),
-    );
-    let snapshot = registry.snapshot();
-    let counters: serde_json::Map = snapshot
-        .counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("optimizer.bnb."))
-        .map(|(name, value)| (name.clone(), serde_json::json!(value)))
-        .collect();
-    let gauges: serde_json::Map = snapshot
-        .gauges
-        .iter()
-        .filter(|(name, _)| name.starts_with("optimizer.bnb."))
-        .map(|(name, value)| (name.clone(), serde_json::json!(value)))
-        .collect();
-    let spans: serde_json::Map = snapshot
-        .histograms
-        .iter()
-        .filter(|h| h.name.starts_with("optimizer.bnb.") && h.name.ends_with(".ns"))
-        .map(|h| {
-            (
-                h.name.clone(),
-                serde_json::json!({
-                    "count": h.count,
-                    "total_ns": h.sum,
-                    "p50_ns": h.p50,
-                    "max_ns": h.max,
-                }),
-            )
-        })
-        .collect();
-    serde_json::json!({ "counters": counters, "gauges": gauges, "spans": spans })
-}
 
 struct Row {
     name: String,
@@ -99,10 +57,10 @@ fn measure(n: usize, k: usize, reps: u32, enumerate: bool) -> Row {
     let space = CompositionSpace::from_serial(&synthetic_space(n, k));
     let model = synthetic_model();
 
-    let (serial, serial_stats) = composition_bnb::search_with_stats(&space, &model, 1);
+    let (serial, serial_stats) = composition_bnb::search(&space, &model, 1);
     let serial_best = serial.best().expect("non-empty space").clone();
     for threads in [2, 0] {
-        let (sharded, _) = composition_bnb::search_with_stats(&space, &model, threads);
+        let (sharded, _) = composition_bnb::search(&space, &model, threads);
         assert_eq!(
             sharded.best().expect("non-empty space"),
             &serial_best,
@@ -123,13 +81,9 @@ fn measure(n: usize, k: usize, reps: u32, enumerate: bool) -> Row {
         None
     };
 
-    let bnb_serial_ns = time_ns(reps, || {
-        composition_bnb::search_with_threads(&space, &model, 1)
-    });
-    let bnb_parallel_ns = time_ns(reps, || {
-        composition_bnb::search_with_threads(&space, &model, 0)
-    });
-    let (_, parallel_stats) = composition_bnb::search_with_stats(&space, &model, 0);
+    let bnb_serial_ns = time_ns(reps, || composition_bnb::search(&space, &model, 1));
+    let bnb_parallel_ns = time_ns(reps, || composition_bnb::search(&space, &model, 0));
+    let (_, parallel_stats) = composition_bnb::search(&space, &model, 0);
 
     Row {
         name: format!("synthetic_{k}^{n}"),
@@ -172,9 +126,9 @@ fn measure_frontier() -> Frontier {
     let naive_ns = time_ns(1, || {
         naive = pareto_bnb::naive_frontier(&space, &model, &constraints);
     });
-    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, epsilon);
+    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, epsilon, 1);
     let bnb_ns = time_ns(3, || {
-        pareto_bnb::composition_search(&chain, &model, &constraints, epsilon)
+        pareto_bnb::composition_search(&chain, &model, &constraints, epsilon, 1)
     });
 
     // The frontier contract, not whole `Evaluation`s: fields off the
@@ -197,14 +151,15 @@ fn measure_frontier() -> Frontier {
 }
 
 fn main() {
-    let mut out_path = "BENCH_PR5.json".to_string();
+    let mut out_path = None;
     let mut enforce = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--enforce" => enforce = true,
-            other => out_path = other.to_string(),
+            other => out_path = Some(other.to_string()),
         }
     }
+    let out_path = out_path.unwrap_or_else(|| usage_exit("usage: bnb_bench OUT.json [--enforce]"));
 
     let rows = vec![
         measure(6, 6, 5, true),
@@ -324,10 +279,6 @@ fn main() {
             "matches_naive": frontier.matches_naive,
         },
         "gates_pass": all_pass,
-        "obs": obs_section(
-            &CompositionSpace::from_serial(&synthetic_space(9, 6)),
-            &synthetic_model(),
-        ),
     });
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, rendered).expect("write benchmark report");

@@ -1,11 +1,11 @@
 //! PR 7 benchmark driver: the factorized composition fold against naive
 //! per-variant `Block` re-evaluation on series–parallel spaces, plus the
-//! composition branch-and-bound prune rate, emitting machine-readable
-//! `BENCH_PR7.json` (written to the working directory, or to the path
-//! given as the first argument).
+//! composition branch-and-bound prune rate, emitting a machine-readable
+//! report in the `BENCH_PR7.json` shape to the path given as the first
+//! argument.
 //!
 //! ```text
-//! cargo run --release -p uptime-bench --bin composition_bench [-- out.json] [--enforce]
+//! cargo run --release -p uptime-bench --bin composition_bench -- out.json [--enforce]
 //! ```
 //!
 //! With `--enforce` the acceptance gates become hard failures (nonzero
@@ -17,7 +17,7 @@
 
 use uptime_bench::{
     paper_catalog, paper_cloud, paper_model, stats_json, synthetic_model, synthetic_space, time_ns,
-    variants_per_sec,
+    usage_exit, variants_per_sec,
 };
 use uptime_core::{MoneyPerMonth, TcoModel};
 use uptime_optimizer::{
@@ -128,7 +128,7 @@ fn measure(
         "{name}: streaming fold must cover the space"
     );
 
-    let (bnb, bnb_stats) = composition_bnb::search_with_stats(space, model, 0);
+    let (bnb, bnb_stats) = composition_bnb::search(space, model, 0);
     assert_eq!(
         bnb.best().expect("non-empty space").assignment(),
         fold_best.assignment(),
@@ -166,9 +166,7 @@ fn measure(
     let fold_ns = time_ns(reps, || {
         composition::search(space, model, Objective::MinTco)
     });
-    let bnb_ns = time_ns(reps, || {
-        composition_bnb::search_with_threads(space, model, 0)
-    });
+    let bnb_ns = time_ns(reps, || composition_bnb::search(space, model, 0));
 
     Row {
         name: name.to_string(),
@@ -192,7 +190,7 @@ fn archetype_section() -> serde_json::Value {
     for &archetype in Archetype::all() {
         let space = archetype.space(&catalog, &cloud).expect("case-study space");
         let fold = composition::search(&space, &model, Objective::MinTco);
-        let (bnb, stats) = composition_bnb::search_with_stats(&space, &model, 0);
+        let (bnb, stats) = composition_bnb::search(&space, &model, 0);
         let best = fold.best().expect("non-empty space");
         assert_eq!(
             bnb.best().expect("non-empty space").assignment(),
@@ -216,14 +214,16 @@ fn archetype_section() -> serde_json::Value {
 }
 
 fn main() {
-    let mut out_path = "BENCH_PR7.json".to_string();
+    let mut out_path = None;
     let mut enforce = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--enforce" => enforce = true,
-            other => out_path = other.to_string(),
+            other => out_path = Some(other.to_string()),
         }
     }
+    let out_path =
+        out_path.unwrap_or_else(|| usage_exit("usage: composition_bench OUT.json [--enforce]"));
 
     let model = synthetic_model();
     // Contract space: 3 zones × 2 components + gateway, 4 candidates each

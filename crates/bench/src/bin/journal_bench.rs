@@ -1,10 +1,10 @@
 //! PR 6 benchmark driver: write-ahead journaling overhead on the
-//! telemetry absorb path, plus recovery replay throughput, emitting
-//! machine-readable `BENCH_PR6.json` (written to the working directory,
-//! or to the path given as the first argument).
+//! telemetry absorb path, plus recovery replay throughput, emitting a
+//! machine-readable report in the `BENCH_PR6.json` shape to the path
+//! given as the first argument.
 //!
 //! ```text
-//! cargo run --release -p uptime-bench --bin journal_bench [-- out.json] [--enforce]
+//! cargo run --release -p uptime-bench --bin journal_bench -- out.json [--enforce]
 //! ```
 //!
 //! Three variants of the same absorb workload — no durability, the
@@ -179,7 +179,7 @@ fn main() {
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| "BENCH_PR6.json".to_owned());
+        .unwrap_or_else(|| uptime_bench::usage_exit("usage: journal_bench OUT.json [--enforce]"));
 
     let store = case_study::catalog();
 

@@ -102,7 +102,8 @@ fn complexity() {
             let space = synthetic_space(n, k);
             let full = exhaustive::search(&space, &model, Objective::MinTco);
             let fast = pruned::search(&space, &model, Objective::MinTco);
-            let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
+            let (bb, _) =
+                composition_bnb::search(&CompositionSpace::from_serial(&space), &model, 1);
             let best = full.best().expect("non-empty").tco().total();
             let agree = fast.best().expect("non-empty").tco().total() == best
                 && bb.best().expect("non-empty").tco().total() == best;

@@ -1,7 +1,8 @@
 //! Shared workload builders for the reproduction harness and Criterion
 //! benches. Each function corresponds to an experiment row in DESIGN.md's
-//! experiment index. The kernel benchmark binaries and the overhead tests
-//! also share one best-of timer ([`time_ns`]) and its report helpers.
+//! experiment index. The kernel benchmark binaries also share one best-of
+//! timer ([`time_ns`]), its report helpers and their usage exit
+//! ([`usage_exit`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -205,6 +206,15 @@ pub fn time_ns<T>(reps: u32, mut body: impl FnMut() -> T) -> u128 {
         black_box(&out);
     }
     best
+}
+
+/// Prints `usage` to stderr and exits with status 2. The kernel bench
+/// binaries call it before any work when their report path is missing:
+/// the path has no default, so a bare run never overwrites a checked-in
+/// `BENCH_PR*.json`.
+pub fn usage_exit(usage: &str) -> ! {
+    eprintln!("{usage}");
+    std::process::exit(2)
 }
 
 /// Sweep throughput: `assignments` variants in `ns` nanoseconds, as

@@ -18,7 +18,7 @@ fn bnb_matches_naive_on_the_synthetic_6x6_space() {
     let constraints = pareto_bnb::FrontierConstraints::NONE;
     let naive = pareto_bnb::naive_frontier(&space, &model, &constraints);
     let chain = CompositionSpace::from_serial(&space);
-    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, 1e-9);
+    let bnb = pareto_bnb::composition_search(&chain, &model, &constraints, 1e-9, 1);
     assert!(!naive.is_empty());
     let key = |p: &uptime_optimizer::ParetoPoint| {
         (

@@ -33,7 +33,7 @@ fn six_to_the_sixth_completes_streaming_with_bounded_memory() {
     );
 
     // The streaming argmin is the bounded search's winner.
-    let bounded = composition_bnb::search(&space, &model);
+    let (bounded, _) = composition_bnb::search(&space, &model, 1);
     assert_eq!(outcome.best().unwrap(), bounded.best().unwrap());
 
     // The whole test binary — space construction included — must stay far
@@ -53,7 +53,7 @@ fn six_to_the_sixth_thread_counts_agree() {
     let model = synthetic_model();
     let reference = composition::search(&space, &model, Objective::MinTco);
     for threads in [0, 1, 3, 16] {
-        let outcome = composition_bnb::search_with_threads(&space, &model, threads);
+        let (outcome, _) = composition_bnb::search(&space, &model, threads);
         assert_eq!(
             outcome.best().unwrap(),
             reference.best().unwrap(),

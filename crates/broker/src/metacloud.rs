@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use uptime_catalog::{CatalogStore, CloudId, ComponentKind, HaMethodId};
 use uptime_core::MoneyPerMonth;
 use uptime_optimizer::{
-    composition_bnb, Candidate, ComponentChoices, CompositionNode, CompositionSpace, Evaluation,
+    Candidate, ComponentChoices, CompositionNode, CompositionSpace, Evaluation,
 };
 
 use crate::error::BrokerError;
@@ -146,13 +146,7 @@ impl BrokerService {
         // (Π_i Σ_c k_{i,c}): branch-and-bound proves it on one thread,
         // pruning the subtrees the admissible bound rules out.
         trace_span.attr_u64("variants", u64::try_from(searched).unwrap_or(u64::MAX));
-        let outcome = composition_bnb::search_with_threads_recorded(
-            &space,
-            &model,
-            1,
-            self.obs_recorder(),
-            &trace_span,
-        );
+        let outcome = self.bnb_argmin(&space, &model, &trace_span);
         let best = outcome.best().ok_or(BrokerError::NoCandidates)?.clone();
 
         let placements: Vec<Placement> = best

@@ -196,11 +196,11 @@ impl CloudProvider for SimulatedProvider {
             })
             .collect::<Result<_, _>>()?;
         let system = SystemSpec::new(clusters)?;
-        let (_, trace) = Simulation::new(
+        let (_, trace, _) = Simulation::new(
             &system,
             SimConfig::years(years).with_seed(seed).with_trace(),
         )?
-        .run_traced();
+        .run_full();
         Ok(ProviderTelemetry {
             trace,
             nodes_per_cluster: 1,
@@ -216,11 +216,11 @@ impl CloudProvider for SimulatedProvider {
         seed: u64,
     ) -> Result<ProviderTelemetry, BrokerError> {
         let system = SystemSpec::new(vec![spec.clone()])?;
-        let (_, trace) = Simulation::new(
+        let (_, trace, _) = Simulation::new(
             &system,
             SimConfig::years(years).with_seed(seed).with_trace(),
         )?
-        .run_traced();
+        .run_full();
         Ok(ProviderTelemetry {
             trace,
             nodes_per_cluster: spec.total_nodes(),

@@ -11,8 +11,9 @@ use uptime_catalog::{CatalogStore, CloudId, ComponentKind, HaMethodId};
 use uptime_core::TcoModel;
 use uptime_durability::{Journal, SnapshotStore, StateDir, HEADER_LEN};
 use uptime_optimizer::{
-    composition_bnb, exhaustive, pareto_bnb, Archetype, Candidate, CompositionEvaluator,
-    CompositionSpace, Evaluation, FrontierOutcome, Objective, SearchSpace, SearchStats,
+    composition_bnb, exhaustive, pareto_bnb, Archetype, BnbStats, Candidate, CompositionEvaluator,
+    CompositionSpace, Evaluation, FrontierOutcome, Objective, ParetoStats, SearchOutcome,
+    SearchSpace, SearchStats,
 };
 use uptime_slo::PointMetrics;
 
@@ -266,11 +267,6 @@ impl BrokerService {
     pub fn with_recorder(mut self, recorder: Arc<dyn uptime_obs::Recorder>) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The recorder recommendations report `broker.*` metrics through.
-    pub(crate) fn obs_recorder(&self) -> &dyn uptime_obs::Recorder {
-        &*self.recorder
     }
 
     /// Replaces the retry policy applied to provider calls.
@@ -813,23 +809,17 @@ impl BrokerService {
         as_is: Option<&[usize]>,
         trace_span: &uptime_obs::TraceSpan,
     ) -> Result<(Vec<Evaluation>, SearchStats), BrokerError> {
-        let rec = &*self.recorder;
         if space.assignment_count() <= TABLE_CAP {
-            let outcome = {
-                let _span = uptime_obs::span!(rec, "optimizer.exhaustive.search");
-                let mut table_span = trace_span.child("optimizer.exhaustive.search");
+            let outcome = self.record_engine(trace_span, Engine::Exhaustive, || {
                 let outcome = exhaustive::composition_search(space, model, Objective::MinTco);
-                rec.counter_add("optimizer.exhaustive.variants", outcome.stats().evaluated);
-                table_span.attr_u64("variants", outcome.stats().evaluated);
-                outcome
-            };
+                (Counts::Variants(outcome.stats().evaluated), outcome)
+            });
             let stats = outcome.stats();
             let mut ordered = outcome.into_evaluations();
             ordered.sort_by_key(|e| (e.cardinality(), assignment_value(space, e.assignment())));
             return Ok((ordered, stats));
         }
-        let outcome =
-            composition_bnb::search_with_threads_recorded(space, model, 1, rec, trace_span);
+        let outcome = self.bnb_argmin(space, model, trace_span);
         let mut ordered = vec![outcome.best().ok_or(BrokerError::NoCandidates)?.clone()];
         if let Some(assignment) = as_is {
             if assignment != ordered[0].assignment() {
@@ -837,6 +827,69 @@ impl BrokerService {
             }
         }
         Ok((ordered, outcome.stats()))
+    }
+
+    /// The argmin of `space` by branch-and-bound on one thread, recorded
+    /// under `trace_span`. One thread keeps the counts deterministic.
+    pub(crate) fn bnb_argmin(
+        &self,
+        space: &CompositionSpace,
+        model: &TcoModel,
+        trace_span: &uptime_obs::TraceSpan,
+    ) -> SearchOutcome {
+        self.record_engine(trace_span, Engine::Bnb, || {
+            let (outcome, stats) = composition_bnb::search(space, model, 1);
+            (Counts::Tree(stats), outcome)
+        })
+    }
+
+    /// Runs one optimizer engine call and records it: the one place the
+    /// broker names an engine's metrics. The engine's span timer and its
+    /// trace child under `parent` open before `search` runs. The counts
+    /// it returns are then flushed once into both: each as a counter and
+    /// as a trace attribute named after the counter's last segment, and
+    /// the thread count as a gauge.
+    fn record_engine<T>(
+        &self,
+        parent: &uptime_obs::TraceSpan,
+        engine: Engine,
+        search: impl FnOnce() -> (Counts, T),
+    ) -> T {
+        let rec = &*self.recorder;
+        let span = match engine {
+            Engine::Exhaustive => "optimizer.exhaustive.search",
+            Engine::Bnb => "optimizer.bnb.search",
+            Engine::Pareto => "optimizer.pareto.search",
+        };
+        let _timer = uptime_obs::SpanGuard::start(rec, span);
+        let mut trace_span = parent.child(span);
+        let (counts, found) = search();
+        let mut count = |counter: &'static str, value: u64| {
+            rec.counter_add(counter, value);
+            let attr = counter.rsplit('.').next().unwrap_or(counter);
+            trace_span.attr_u64(attr, value);
+        };
+        match counts {
+            Counts::Variants(variants) => count("optimizer.exhaustive.variants", variants),
+            Counts::Tree(stats) => {
+                rec.gauge_set("optimizer.bnb.threads", stats.threads as f64);
+                count("optimizer.bnb.tasks", stats.tasks);
+                count("optimizer.bnb.nodes_visited", stats.nodes_visited);
+                count("optimizer.bnb.leaves_evaluated", stats.leaves_evaluated);
+                count("optimizer.bnb.subtrees_pruned", stats.subtrees_pruned);
+                count("optimizer.bnb.variants_skipped", stats.variants_skipped);
+            }
+            Counts::Frontier(stats) => {
+                rec.gauge_set("optimizer.pareto.threads", stats.threads as f64);
+                count("optimizer.pareto.tasks", stats.tasks);
+                count("optimizer.pareto.nodes_visited", stats.nodes_visited);
+                count("optimizer.pareto.leaves_evaluated", stats.leaves_evaluated);
+                count("optimizer.pareto.pruned", stats.subtrees_pruned);
+                count("optimizer.pareto.variants_skipped", stats.variants_skipped);
+                count("optimizer.pareto.frontier_size", stats.frontier_size);
+            }
+        }
+        found
     }
 
     /// Answers a declarative SLO request with the exact feasible
@@ -901,26 +954,14 @@ impl BrokerService {
             .all(|(_, space, _)| space.assignment_count() <= TABLE_CAP);
         let mut cloud_fronts = Vec::with_capacity(spaces.len());
         for (cloud, space, method_ids) in spaces {
-            let outcome = if sweep {
-                pareto_bnb::composition_sweep_recorded(
-                    &space,
-                    &model,
-                    &constraints,
-                    epsilon,
-                    rec,
-                    &trace_span,
-                )
-            } else {
-                pareto_bnb::composition_search_with_threads_recorded(
-                    &space,
-                    &model,
-                    &constraints,
-                    epsilon,
-                    1,
-                    rec,
-                    &trace_span,
-                )
-            };
+            let outcome = self.record_engine(&trace_span, Engine::Pareto, || {
+                let outcome = if sweep {
+                    pareto_bnb::composition_sweep(&space, &model, &constraints, epsilon)
+                } else {
+                    pareto_bnb::composition_search(&space, &model, &constraints, epsilon, 1)
+                };
+                (Counts::Frontier(*outcome.stats()), outcome)
+            });
             let points = frontier_points(&outcome, request, &space, &method_ids);
             cloud_fronts.push(CloudFrontier::new(cloud, points, *outcome.stats()));
         }
@@ -1361,6 +1402,27 @@ fn assignment_value(space: &CompositionSpace, assignment: &[usize]) -> u128 {
 /// the six survey archetypes top out at 512 on the case-study catalog.
 const TABLE_CAP: u128 = 4096;
 
+/// The optimizer engines the broker runs, each recorded under its own
+/// span.
+enum Engine {
+    /// The full table of a space within [`TABLE_CAP`].
+    Exhaustive,
+    /// Branch-and-bound's argmin.
+    Bnb,
+    /// The frontier, swept or walked.
+    Pareto,
+}
+
+/// What one engine call counted, as the engine returned it.
+enum Counts {
+    /// The exhaustive table: every variant was evaluated.
+    Variants(u64),
+    /// Branch-and-bound's search tree.
+    Tree(BnbStats),
+    /// The frontier sweep's or walk's.
+    Frontier(ParetoStats),
+}
+
 /// The request's deployment archetype, if it names a `topology`.
 fn request_archetype(request: &SolutionRequest) -> Result<Option<Archetype>, BrokerError> {
     request
@@ -1733,6 +1795,190 @@ mod tests {
         assert_eq!(
             recorded(&thirteen_compute_tiers()),
             [None, None, Some(1), Some(8192)]
+        );
+    }
+
+    /// `call` on the case-study broker, recording into a fresh registry
+    /// under a fresh request trace: its answer, the registry's snapshot
+    /// and the finished trace.
+    fn observed<T>(
+        call: impl FnOnce(&BrokerService, &uptime_obs::TraceSpan) -> Result<T, BrokerError>,
+    ) -> (T, uptime_obs::MetricsSnapshot, Arc<uptime_obs::TraceRecord>) {
+        let registry = Arc::new(uptime_obs::MetricsRegistry::new());
+        let svc = service().with_recorder(registry.clone());
+        let flight = uptime_obs::FlightRecorder::new(uptime_obs::TraceConfig::default());
+        let trace = Arc::new(flight).begin(0, "test");
+        let answer = call(&svc, trace.root()).unwrap();
+        let record = trace.finish(uptime_obs::TraceOutcome::Ok).unwrap();
+        (answer, registry.snapshot(), record)
+    }
+
+    /// The `engine` spans directly under the trace's one `broker` span.
+    fn engine_spans<'a>(
+        record: &'a uptime_obs::TraceRecord,
+        broker: &str,
+        engine: &str,
+    ) -> Vec<&'a uptime_obs::trace::SpanRecord> {
+        let parents: Vec<_> = record.spans.iter().filter(|s| s.name == broker).collect();
+        assert_eq!(parents.len(), 1, "one {broker} span");
+        let children = record.children_of(parents[0].id);
+        children.into_iter().filter(|s| s.name == engine).collect()
+    }
+
+    /// Asserts what the broker recorded for one `span` call under
+    /// `broker`: the span ran once, each counter holds its value, and the
+    /// call's trace child carries the same values as attributes named
+    /// after each counter's last segment.
+    fn assert_engine_call(
+        (snap, record): (&uptime_obs::MetricsSnapshot, &uptime_obs::TraceRecord),
+        (broker, span): (&str, &str),
+        counts: &[(&str, u64)],
+    ) {
+        assert_eq!(snap.counter(&format!("{span}.calls")), Some(1), "{span}");
+        let timer = snap.histogram(&format!("{span}.ns")).unwrap();
+        assert_eq!(timer.count, 1, "{span}");
+        for &(counter, value) in counts {
+            assert_eq!(snap.counter(counter), Some(value), "{counter}");
+        }
+        let children = engine_spans(record, broker, span);
+        assert_eq!(children.len(), 1, "{span} under {broker}");
+        let attrs: Vec<_> = counts
+            .iter()
+            .map(|&(counter, value)| {
+                let key = counter.rsplit('.').next().unwrap();
+                (key, uptime_obs::trace::AttrValue::U64(value))
+            })
+            .collect();
+        assert_eq!(children[0].attrs, attrs, "{span} attributes");
+    }
+
+    /// [`assert_engine_call`] for one-thread branch-and-bound that
+    /// evaluated `leaves` and skipped `skipped` variants. Its other tree
+    /// counts are not in the answer, so they are read from the registry.
+    fn assert_bnb_call(
+        (snap, record): (&uptime_obs::MetricsSnapshot, &uptime_obs::TraceRecord),
+        broker: &str,
+        (leaves, skipped): (u64, u64),
+    ) {
+        assert_eq!(snap.gauge("optimizer.bnb.threads"), Some(1.0));
+        let registered = |counter| (counter, snap.counter(counter).unwrap());
+        let counts = [
+            registered("optimizer.bnb.tasks"),
+            registered("optimizer.bnb.nodes_visited"),
+            ("optimizer.bnb.leaves_evaluated", leaves),
+            registered("optimizer.bnb.subtrees_pruned"),
+            ("optimizer.bnb.variants_skipped", skipped),
+        ];
+        assert_engine_call((snap, record), (broker, "optimizer.bnb.search"), &counts);
+    }
+
+    /// A frontier over `tiers` on the case-study cloud, under a hard
+    /// uptime floor of `percent`.
+    fn frontier_request(
+        tiers: impl IntoIterator<Item = ComponentKind>,
+        percent: f64,
+    ) -> FrontierRequest {
+        let slo = format!(
+            r#"{{ "objectives": [ {{ "metric": "uptime", "threshold": {percent}, "mode": "hard" }} ] }}"#
+        );
+        let base = SolutionRequest::builder()
+            .tiers(tiers)
+            .penalty_per_hour(100.0)
+            .unwrap()
+            .cloud(case_study::cloud_id());
+        FrontierRequest::from_spec(base, uptime_slo::SloSpec::from_json_str(&slo).unwrap()).unwrap()
+    }
+
+    /// 13 Compute tiers: a frontier past [`TABLE_CAP`], which one-thread
+    /// branch-and-bound walks.
+    fn past_cap_frontier() -> FrontierRequest {
+        frontier_request(vec![ComponentKind::Compute; 13], 50.0)
+    }
+
+    #[test]
+    fn engine_calls_record_their_counts_and_trace_attributes() {
+        // Each engine call is recorded under the engine's span: its counts
+        // as counters, its thread count as a gauge, and the same counts as
+        // attributes on its trace child. The counts equal the answer's
+        // stats, and leaves plus skipped variants cover the space.
+        let (paper, snap, record) =
+            observed(|svc, trace| svc.recommend_traced(&paper_request(), trace));
+        assert_eq!(paper.clouds()[0].stats().considered(), 8);
+        assert_engine_call(
+            (&snap, &record),
+            ("broker.recommend", "optimizer.exhaustive.search"),
+            &[("optimizer.exhaustive.variants", 8)],
+        );
+
+        let (past_cap, snap, record) =
+            observed(|svc, trace| svc.recommend_traced(&thirteen_compute_tiers(), trace));
+        let stats = past_cap.clouds()[0].stats();
+        assert_eq!(stats.considered(), 8192);
+        let tree = (stats.evaluated, stats.skipped);
+        assert_bnb_call((&snap, &record), "broker.recommend", tree);
+        assert_eq!(snap.counter("optimizer.exhaustive.search.calls"), None);
+
+        let (meta, snap, record) =
+            observed(|svc, trace| svc.recommend_metacloud_traced(&paper_request(), trace));
+        let leaves = snap.counter("optimizer.bnb.leaves_evaluated").unwrap();
+        let skipped = u64::try_from(meta.assignments_searched()).unwrap() - leaves;
+        assert_bnb_call(
+            (&snap, &record),
+            "broker.recommend.metacloud",
+            (leaves, skipped),
+        );
+
+        for (request, engine, variants) in [
+            (
+                frontier_request(ComponentKind::paper_tiers(), 98.0),
+                "exhaustive",
+                8,
+            ),
+            (past_cap_frontier(), "bnb", 8192),
+        ] {
+            let (report, snap, record) =
+                observed(|svc, trace| svc.solve_slo_traced(&request, trace));
+            assert_eq!(report.engine(), engine);
+            let cloud = &report.clouds()[0];
+            let s = cloud.stats();
+            assert_eq!(
+                s.leaves_evaluated + s.variants_skipped,
+                variants,
+                "{engine}"
+            );
+            assert_eq!(
+                (s.threads, s.frontier_size),
+                (1, cloud.points().len() as u64)
+            );
+            assert_eq!(snap.gauge("optimizer.pareto.threads"), Some(1.0));
+            let counts = [
+                ("optimizer.pareto.tasks", s.tasks),
+                ("optimizer.pareto.nodes_visited", s.nodes_visited),
+                ("optimizer.pareto.leaves_evaluated", s.leaves_evaluated),
+                ("optimizer.pareto.pruned", s.subtrees_pruned),
+                ("optimizer.pareto.variants_skipped", s.variants_skipped),
+                ("optimizer.pareto.frontier_size", s.frontier_size),
+            ];
+            let spans = ("broker.frontier", "optimizer.pareto.search");
+            assert_engine_call((&snap, &record), spans, &counts);
+        }
+    }
+
+    #[test]
+    fn frontier_trace_spans_cover_the_search() {
+        // The frontier's trace child opens before its search runs, so the
+        // trace spans account for the time the recorder's span timer
+        // measured over the same calls.
+        let (_, snap, record) =
+            observed(|svc, trace| svc.solve_slo_traced(&past_cap_frontier(), trace));
+        let spans = engine_spans(&record, "broker.frontier", "optimizer.pareto.search");
+        let traced_ns: u64 = spans.iter().map(|s| s.duration_ns).sum();
+        let timer = snap.histogram("optimizer.pareto.search.ns").unwrap();
+        assert_eq!(timer.count, spans.len() as u64);
+        assert!(
+            traced_ns as f64 >= 0.5 * timer.sum,
+            "trace spans {traced_ns} ns of the {} ns the recorder timed",
+            timer.sum
         );
     }
 

@@ -434,10 +434,10 @@ mod tests {
             .collect();
         let system = SystemSpec::new(clusters).unwrap();
         let years = 40.0;
-        let (_, trace) =
+        let (_, trace, _) =
             Simulation::new(&system, SimConfig::years(years).with_seed(17).with_trace())
                 .unwrap()
-                .run_traced();
+                .run_full();
 
         // Merge the 10 single-node clusters by estimating each and
         // averaging by (equal) evidence.

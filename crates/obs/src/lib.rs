@@ -6,17 +6,18 @@
 //! instrumented hot paths cost nothing when observability is disabled.
 //!
 //! The crate is deliberately std-only (not even the vendored workspace
-//! dependencies) so that every layer — core math, optimizer engines, the
-//! simulator, the broker control plane, the CLI — can depend on it without
-//! dragging anything into its hot loops.
+//! dependencies) so that any layer can depend on it without dragging
+//! anything into its hot loops. The optimizer engines and the simulator
+//! do not depend on it at all: the engines return their counts, and the
+//! broker records each engine call it makes.
 //!
 //! ## Architecture
 //!
 //! * [`Recorder`] — the sink trait. All methods have no-op defaults;
 //!   [`NoopRecorder`] is a zero-sized type whose calls compile away.
-//!   Instrumented code accumulates counts *locally* inside hot loops and
-//!   flushes through the trait once per phase, so even dynamic dispatch
-//!   costs a handful of calls per search, not per variant.
+//!   Counts accumulate *locally* inside hot loops and are flushed through
+//!   the trait once per phase, so even dynamic dispatch costs a handful of
+//!   calls per search, not per variant.
 //! * [`MetricsRegistry`] — a concrete recorder: monotonic counters,
 //!   last-write-wins gauges, and fixed-bucket histograms with
 //!   p50/p95/p99 estimation. Counter/histogram touches after the first
@@ -33,8 +34,8 @@
 //! ## Naming convention
 //!
 //! Metric names are `layer.subsystem.name` — e.g.
-//! `optimizer.composition.variants`, `broker.sync.attempts`,
-//! `sim.events.processed`. Span metrics append a suffix: `<span>.ns` and
+//! `broker.sync.retries`, `broker.recommend.clouds`,
+//! `broker.frontier.infeasible`. Span metrics append a suffix: `<span>.ns` and
 //! `<span>.calls`. The convention is documented in DESIGN.md §10 and is
 //! load-bearing for the Prometheus exporter, which rewrites dots to
 //! underscores and prefixes `uptime_`.
@@ -48,12 +49,12 @@
 //! registry.counter_add("broker.sync.retries", 3);
 //! registry.observe("broker.sync.attempts", 2.0);
 //! {
-//!     let _span = uptime_obs::span!(&registry, "optimizer.composition.search");
+//!     let _span = uptime_obs::span!(&registry, "broker.recommend");
 //!     // ... timed work ...
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("broker.sync.retries"), Some(3));
-//! assert_eq!(snapshot.counter("optimizer.composition.search.calls"), Some(1));
+//! assert_eq!(snapshot.counter("broker.recommend.calls"), Some(1));
 //! let json = uptime_obs::export::to_json(&snapshot);
 //! assert!(json.contains("\"broker.sync.retries\""));
 //! ```

@@ -26,8 +26,8 @@
 //! `about:tracing` / Perfetto.
 //!
 //! Disabled tracing is free-ish: [`TraceSpan::disabled`] is an
-//! `Option::None` wrapper whose child/attr calls are no-ops, so the
-//! `*_recorded` optimizer wrappers keep their <5% no-op overhead budget.
+//! `Option::None` wrapper whose child/attr calls are no-ops, so an
+//! untraced call pays one branch per span it would have opened.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,8 +224,8 @@ struct SpanInner {
 
 impl TraceSpan {
     /// The inert span: children are inert, attributes vanish, drop does
-    /// nothing. This is what un-traced call sites pass to `*_recorded`
-    /// optimizer wrappers and traced broker entry points.
+    /// nothing. This is what un-traced call sites pass to the traced
+    /// broker entry points.
     #[must_use]
     pub const fn disabled() -> Self {
         TraceSpan { inner: None }

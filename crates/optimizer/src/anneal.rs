@@ -16,13 +16,13 @@ use crate::space::SearchSpace;
 
 /// Annealing schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Schedule {
+struct Schedule {
     /// Starting temperature, in TCO dollars.
-    pub initial_temperature: f64,
+    initial_temperature: f64,
     /// Multiplicative cooling factor per step, in `(0, 1)`.
-    pub cooling: f64,
+    cooling: f64,
     /// Total proposal steps.
-    pub steps: u32,
+    steps: u32,
 }
 
 impl Default for Schedule {
@@ -38,7 +38,7 @@ impl Default for Schedule {
 /// Runs simulated annealing from the baseline assignment with the given
 /// seed and schedule.
 #[must_use]
-pub fn search_with(
+fn search_with(
     space: &SearchSpace,
     model: &TcoModel,
     objective: Objective,

@@ -1083,27 +1083,6 @@ pub fn search(space: &CompositionSpace, model: &TcoModel, objective: Objective) 
     )
 }
 
-/// [`search`] with observability: the identical streaming fold wrapped in
-/// an `optimizer.composition.search` span, flushing
-/// `optimizer.composition.variants` once at the end. `parent` hangs a
-/// matching trace span (variant count attached) under the caller's
-/// request trace; pass [`uptime_obs::TraceSpan::disabled`] outside one.
-#[must_use]
-pub fn search_recorded(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    objective: Objective,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.composition.search");
-    let mut trace_span = parent.child("optimizer.composition.search");
-    let outcome = search(space, model, objective);
-    rec.counter_add("optimizer.composition.variants", outcome.stats().evaluated);
-    trace_span.attr_u64("variants", outcome.stats().evaluated);
-    outcome
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1312,31 +1291,6 @@ mod tests {
         );
         let risk = search(&space, &model, Objective::MinPenaltyRisk);
         assert_eq!(risk.best().unwrap().tco().total().value(), 1350.0);
-    }
-
-    #[test]
-    fn recorded_search_is_bit_identical_and_counts() {
-        let space = CompositionSpace::from_serial(&paper_space());
-        let model = case_study::tco_model();
-        let registry = uptime_obs::MetricsRegistry::new();
-        let plain = search(&space, &model, Objective::MinTco);
-        let recorded = search_recorded(
-            &space,
-            &model,
-            Objective::MinTco,
-            &registry,
-            &uptime_obs::TraceSpan::disabled(),
-        );
-        assert_eq!(plain, recorded, "instrumentation must not change results");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("optimizer.composition.variants"), Some(8));
-        assert_eq!(snap.counter("optimizer.composition.search.calls"), Some(1));
-        assert_eq!(
-            snap.histogram("optimizer.composition.search.ns")
-                .unwrap()
-                .count,
-            1
-        );
     }
 
     #[test]

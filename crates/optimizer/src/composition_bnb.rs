@@ -82,8 +82,9 @@ const BOUND_SLACK: f64 = 1e-6;
 const TASKS_PER_THREAD: usize = 8;
 
 /// Branch-and-bound instrumentation beyond [`SearchStats`] — the shape of
-/// the search tree actually walked. Exposed as `optimizer.bnb.*` counters
-/// by [`search_with_threads_recorded`] and serialized into `BENCH_PR5.json`.
+/// the search tree actually walked. [`search`] returns it beside every
+/// outcome; the broker records it per call and the bench binaries
+/// serialize it into `BENCH_PR5.json`.
 ///
 /// Under parallelism these counts depend on incumbent-propagation timing
 /// and are **not** deterministic across runs or thread counts (the argmin
@@ -222,9 +223,12 @@ pub fn prefix_bound(space: &CompositionSpace, model: &TcoModel, prefix: &[usize]
     bounds.lower_bound(model, prefix.len(), &state.spine, state.masked())
 }
 
-/// Single-threaded branch-and-bound minimization of total TCO. Exact:
-/// returns the same winner as [`crate::composition::search`] under
-/// [`Objective::MinTco`], visiting (usually far) fewer assignments.
+/// Branch-and-bound minimization of total TCO across `threads` workers
+/// stealing prefix tasks; `0` means the machine's available parallelism.
+/// Exact: returns the same winner as [`crate::composition::search`] under
+/// [`Objective::MinTco`], bit-identical for every thread count, visiting
+/// (usually far) fewer assignments. The tree-shape counts of the walk
+/// come back beside the outcome.
 ///
 /// # Examples
 ///
@@ -239,65 +243,14 @@ pub fn prefix_bound(space: &CompositionSpace, model: &TcoModel, prefix: &[usize]
 ///     &ComponentKind::paper_tiers(),
 /// )?;
 /// let space = CompositionSpace::from_serial(&serial);
-/// let outcome = composition_bnb::search(&space, &case_study::tco_model());
+/// let (outcome, stats) = composition_bnb::search(&space, &case_study::tco_model(), 1);
 /// assert_eq!(outcome.best().unwrap().tco().total().value(), 1250.0);
+/// assert_eq!(u128::from(stats.leaves_evaluated + stats.variants_skipped), 8);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn search(space: &CompositionSpace, model: &TcoModel) -> SearchOutcome {
-    search_with_threads(space, model, 1)
-}
-
-/// [`search`] across `threads` workers stealing prefix tasks; `0` means
-/// the machine's available parallelism. The winner is bit-identical for
-/// every thread count.
-#[must_use]
-pub fn search_with_threads(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    threads: usize,
-) -> SearchOutcome {
-    search_with_stats(space, model, threads).0
-}
-
-/// [`search_with_threads`] with observability: wraps the run in an
-/// `optimizer.bnb.search` span and flushes the [`BnbStats`] counters
-/// (`optimizer.bnb.{tasks,nodes_visited,leaves_evaluated,subtrees_pruned,`
-/// `variants_skipped}` plus the `optimizer.bnb.threads` gauge) when it
-/// finishes. The descent itself never touches the recorder. `parent`
-/// hangs a matching trace span carrying the same tree-shape counters as
-/// attributes under the caller's request trace; pass
-/// [`uptime_obs::TraceSpan::disabled`] outside a traced request.
-#[must_use]
-pub fn search_with_threads_recorded(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    threads: usize,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> SearchOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.bnb.search");
-    let mut trace_span = parent.child("optimizer.bnb.search");
-    let (outcome, stats) = search_with_stats(space, model, threads);
-    rec.gauge_set("optimizer.bnb.threads", stats.threads as f64);
-    rec.counter_add("optimizer.bnb.tasks", stats.tasks);
-    rec.counter_add("optimizer.bnb.nodes_visited", stats.nodes_visited);
-    rec.counter_add("optimizer.bnb.leaves_evaluated", stats.leaves_evaluated);
-    rec.counter_add("optimizer.bnb.subtrees_pruned", stats.subtrees_pruned);
-    rec.counter_add("optimizer.bnb.variants_skipped", stats.variants_skipped);
-    trace_span.attr_u64("tasks", stats.tasks);
-    trace_span.attr_u64("nodes_visited", stats.nodes_visited);
-    trace_span.attr_u64("leaves_evaluated", stats.leaves_evaluated);
-    trace_span.attr_u64("subtrees_pruned", stats.subtrees_pruned);
-    trace_span.attr_u64("variants_skipped", stats.variants_skipped);
-    outcome
-}
-
-/// [`search_with_threads`] returning the tree-shape instrumentation
-/// alongside the outcome — what the bench bins serialize.
-#[must_use]
-pub fn search_with_stats(
+pub fn search(
     space: &CompositionSpace,
     model: &TcoModel,
     threads: usize,
@@ -708,7 +661,7 @@ mod tests {
             .collect();
         let tiers = (0..5).map(|t| component(&format!("t{t}"), &downs, &costs));
         let space = CompositionSpace::from_serial(&SearchSpace::new(tiers.collect()).unwrap());
-        let (outcome, stats) = search_with_stats(&space, &case_study::tco_model(), 1);
+        let (outcome, stats) = search(&space, &case_study::tco_model(), 1);
         assert_eq!(outcome.best().unwrap().assignment(), &[0; 5]);
         assert!(stats.subtrees_pruned >= 2, "{stats:?}");
         assert_eq!(stats.variants_skipped, u64::MAX);
@@ -718,7 +671,7 @@ mod tests {
     fn finds_paper_optimum() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let outcome = search(&space, &model);
+        let (outcome, _) = search(&space, &model, 1);
         let best = outcome.best().unwrap();
         assert_eq!(best.tco().total().value(), 1250.0);
         assert_eq!(best.assignment(), &[0, 1, 0]);
@@ -732,7 +685,7 @@ mod tests {
         let space = paper_space();
         let model = case_study::tco_model();
         let full = exhaustive::composition_search(&space, &model, Objective::MinTco);
-        let bb = search(&space, &model);
+        let (bb, _) = search(&space, &model, 1);
         assert!(bb.stats().evaluated <= full.stats().evaluated);
         assert_eq!(
             u128::from(bb.stats().considered()),
@@ -754,7 +707,7 @@ mod tests {
                 SearchSpace::from_catalog(&catalog, &cloud, &ComponentKind::paper_tiers()).unwrap();
             let space = CompositionSpace::from_serial(&serial);
             let full = exhaustive::search(&serial, &model, Objective::MinTco);
-            let bb = search(&space, &model);
+            let (bb, _) = search(&space, &model, 1);
             assert_eq!(
                 full.best().unwrap().tco().total(),
                 bb.best().unwrap().tco().total(),
@@ -778,7 +731,7 @@ mod tests {
             .unwrap(),
         ))
         .unwrap();
-        let outcome = search(&space, &case_study::tco_model());
+        let (outcome, _) = search(&space, &case_study::tco_model(), 1);
         assert_eq!(outcome.stats().evaluated, 1);
         assert!(outcome.best().is_some());
     }
@@ -788,7 +741,7 @@ mod tests {
         let space = dual_site_space();
         let model = case_study::tco_model();
         let streaming = composition::search(&space, &model, Objective::MinTco);
-        let bb = search(&space, &model);
+        let (bb, _) = search(&space, &model, 1);
         assert_eq!(streaming.best().unwrap(), bb.best().unwrap());
         assert_eq!(
             u128::from(bb.stats().considered()),
@@ -809,9 +762,9 @@ mod tests {
         );
         let model = case_study::tco_model();
         for space in [dual_site_space(), hybrid] {
-            let serial = search_with_threads(&space, &model, 1);
+            let (serial, _) = search(&space, &model, 1);
             for threads in [2, 4, 8] {
-                let parallel = search_with_threads(&space, &model, threads);
+                let (parallel, _) = search(&space, &model, threads);
                 assert_eq!(
                     serial.best().unwrap(),
                     parallel.best().unwrap(),
@@ -879,7 +832,7 @@ mod tests {
         ]))
         .unwrap();
         for space in [serial, dag] {
-            let (outcome, stats) = search_with_stats(&space, &case_study::tco_model(), 1);
+            let (outcome, stats) = search(&space, &case_study::tco_model(), 1);
             assert!(stats.subtrees_pruned > 0, "expected a bound cutoff");
             assert!(
                 outcome.stats().skipped >= 3,
@@ -890,32 +843,5 @@ mod tests {
                 space.assignment_count()
             );
         }
-    }
-
-    #[test]
-    fn recorded_search_is_bit_identical_and_counts() {
-        let space = paper_space();
-        let model = case_study::tco_model();
-        let registry = uptime_obs::MetricsRegistry::new();
-        let plain = search_with_threads(&space, &model, 1);
-        let recorded = search_with_threads_recorded(
-            &space,
-            &model,
-            1,
-            &registry,
-            &uptime_obs::TraceSpan::disabled(),
-        );
-        assert_eq!(
-            plain.best().unwrap(),
-            recorded.best().unwrap(),
-            "instrumentation must not change results"
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("optimizer.bnb.search.calls"), Some(1));
-        assert_eq!(snap.histogram("optimizer.bnb.search.ns").unwrap().count, 1);
-        let visited = snap.counter("optimizer.bnb.leaves_evaluated").unwrap();
-        let skipped = snap.counter("optimizer.bnb.variants_skipped").unwrap();
-        assert_eq!(u128::from(visited + skipped), space.assignment_count());
-        assert_eq!(snap.gauge("optimizer.bnb.threads"), Some(1.0));
     }
 }

@@ -17,13 +17,16 @@
 //!   `k^n` permutations materialized (paper §II.C, Fig. 10's table).
 //! * [`composition_bnb::search`] — tight-bound branch-and-bound: cost plus
 //!   an admissible penalty lower bound from best-case suffix survival,
-//!   with a work-stealing parallel variant
-//!   ([`composition_bnb::search_with_threads`]) pruning against a shared
-//!   incumbent. Exact for `MinTco`, thread-count-independent results.
+//!   with work-stealing workers pruning against a shared incumbent. Exact
+//!   for `MinTco`, thread-count-independent results.
 //! * [`pareto_bnb::composition_search`] — the cost/uptime Pareto frontier
 //!   by epsilon-dominance branch-and-bound with hard SLO box constraints;
 //!   [`pareto_bnb::composition_sweep`] is its exhaustive twin, and
-//!   [`pareto::frontier`] the unconstrained sweep of a serial chain.
+//!   [`pareto_bnb::sweep`] takes a serial chain.
+//!
+//! Each engine takes its thread count, where it has one, and returns its
+//! counts with its answer. The crate has no recorder: the broker records
+//! every engine call it makes.
 //! * [`archetypes`] generates the deployment-archetype survey's six shapes
 //!   as ready-made composition spaces.
 //!

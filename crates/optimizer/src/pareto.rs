@@ -4,17 +4,15 @@
 //! client with the *frontier* of deployments where spending more strictly
 //! buys more uptime — useful when the SLA itself is negotiable.
 //!
-//! [`frontier`] is [`crate::pareto_bnb`]'s unconstrained exhaustive sweep
-//! over the paper's serial chain. Equivalence with the naive
-//! dominance-filter definition is pinned by
-//! `frontier_matches_naive_dominance_filter` below.
+//! The engines live in [`crate::pareto_bnb`]; [`ParetoPoint`] is the
+//! point they return. The tests below pin the unconstrained exhaustive
+//! sweep of a serial chain ([`crate::pareto_bnb::sweep`]) against the
+//! naive dominance-filter definition
+//! (`frontier_matches_naive_dominance_filter`).
 
 use serde::{Deserialize, Serialize};
-use uptime_core::TcoModel;
 
 use crate::evaluate::Evaluation;
-use crate::pareto_bnb::{self, FrontierConstraints};
-use crate::space::SearchSpace;
 
 /// One point on the cost/uptime frontier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,50 +52,18 @@ impl ParetoPoint {
     }
 }
 
-/// Computes the Pareto frontier over HA cost (minimize) and uptime
-/// (maximize), sorted by ascending cost.
-///
-/// A point is kept when no other point has both lower-or-equal cost and
-/// strictly higher uptime, or strictly lower cost and equal-or-higher
-/// uptime.
-///
-/// # Invariant
-///
-/// The result is deterministic and duplicate-free: points are returned
-/// in strictly ascending `(cost, uptime)` order — equal
-/// `(cost, uptime)` pairs are deduplicated — and when several
-/// assignments achieve the same frontier point, the one with the
-/// smallest flat (lexicographic) assignment index represents it. The
-/// candidate sort key is explicitly `(cost ↑, uptime ↓, flat index ↑)`,
-/// so the output never depends on sort stability or enumeration order.
-///
-/// # Examples
-///
-/// ```
-/// use uptime_catalog::{case_study, ComponentKind};
-/// use uptime_optimizer::{pareto, SearchSpace};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let space = SearchSpace::from_catalog(
-///     &case_study::catalog(),
-///     &case_study::cloud_id(),
-///     &ComponentKind::paper_tiers(),
-/// )?;
-/// let frontier = pareto::frontier(&space, &case_study::tco_model());
-/// // The free no-HA option and the max-uptime option are always on it.
-/// assert!(frontier.first().unwrap().ha_cost().value() == 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn frontier(space: &SearchSpace, model: &TcoModel) -> Vec<ParetoPoint> {
-    pareto_bnb::sweep(space, model, &FrontierConstraints::NONE, 0.0).into_points()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto_bnb::{self, FrontierConstraints};
+    use crate::space::SearchSpace;
     use uptime_catalog::{case_study, ComponentKind};
+    use uptime_core::TcoModel;
+
+    /// The unconstrained exhaustive frontier of a serial chain.
+    fn frontier(space: &SearchSpace, model: &TcoModel) -> Vec<ParetoPoint> {
+        pareto_bnb::sweep(space, model, &FrontierConstraints::NONE, 0.0).into_points()
+    }
 
     fn paper_frontier() -> Vec<ParetoPoint> {
         let space = SearchSpace::from_catalog(

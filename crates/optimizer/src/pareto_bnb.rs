@@ -1,8 +1,7 @@
 //! Epsilon-dominance branch-and-bound Pareto frontier extraction.
 //!
 //! This module extracts the cost/uptime frontier on the bounded fast path
-//! ([`sweep`] and [`composition_sweep`] are its exhaustive twins, and
-//! [`crate::pareto::frontier`] the unconstrained serial sweep). A
+//! ([`sweep`] and [`composition_sweep`] are its exhaustive twins). A
 //! depth-first walk over the composition kernel's cached terms carries the
 //! admissible per-prefix aggregates of `composition_bnb::Bounds`: at depth
 //! `d` the *ideal point* of the subtree — its cost floor and its
@@ -208,9 +207,11 @@ impl Archive {
     }
 }
 
-/// Single-threaded frontier extraction. Exact: the points equal
+/// Frontier extraction across `threads` workers; `0` means the machine's
+/// available parallelism. Exact: the points equal
 /// [`naive_composition_frontier`]'s (same cost/uptime pairs), with the
-/// lexicographically-smallest assignment representing each point.
+/// lexicographically-smallest assignment representing each point, for
+/// every thread count.
 ///
 /// # Examples
 ///
@@ -229,6 +230,7 @@ impl Archive {
 ///     &case_study::tco_model(),
 ///     &pareto_bnb::FrontierConstraints::NONE,
 ///     1e-9,
+///     1,
 /// );
 /// assert_eq!(outcome.points().first().unwrap().ha_cost().value(), 0.0);
 /// # Ok(())
@@ -236,18 +238,6 @@ impl Archive {
 /// ```
 #[must_use]
 pub fn composition_search(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-) -> FrontierOutcome {
-    composition_search_with_threads(space, model, constraints, epsilon, 1)
-}
-
-/// [`composition_search`] across `threads` workers; `0` means the
-/// machine's available parallelism. Thread-count-independent output.
-#[must_use]
-pub fn composition_search_with_threads(
     space: &CompositionSpace,
     model: &TcoModel,
     constraints: &FrontierConstraints,
@@ -301,49 +291,6 @@ pub fn composition_search_with_threads(
     let points = materialize(survivors, |digits| eval.evaluate(digits));
     stats.frontier_size = points.len() as u64;
     FrontierOutcome { points, stats }
-}
-
-/// [`composition_search_with_threads`] with observability: the run
-/// wrapped in an `optimizer.pareto.search` span, the tree-shape counters
-/// (`optimizer.pareto.{nodes_visited,pruned,frontier_size}` and friends)
-/// flushed once at the end, and a matching trace span hung under
-/// `parent`. Pass [`uptime_obs::TraceSpan::disabled`] outside a traced
-/// request.
-#[must_use]
-pub fn composition_search_with_threads_recorded(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-    threads: usize,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> FrontierOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.pareto.search");
-    let outcome = composition_search_with_threads(space, model, constraints, epsilon, threads);
-    record_stats(outcome.stats(), rec, parent);
-    outcome
-}
-
-fn record_stats(
-    stats: &ParetoStats,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) {
-    let mut trace_span = parent.child("optimizer.pareto.search");
-    rec.gauge_set("optimizer.pareto.threads", stats.threads as f64);
-    rec.counter_add("optimizer.pareto.tasks", stats.tasks);
-    rec.counter_add("optimizer.pareto.nodes_visited", stats.nodes_visited);
-    rec.counter_add("optimizer.pareto.leaves_evaluated", stats.leaves_evaluated);
-    rec.counter_add("optimizer.pareto.pruned", stats.subtrees_pruned);
-    rec.counter_add("optimizer.pareto.variants_skipped", stats.variants_skipped);
-    rec.counter_add("optimizer.pareto.frontier_size", stats.frontier_size);
-    trace_span.attr_u64("tasks", stats.tasks);
-    trace_span.attr_u64("nodes_visited", stats.nodes_visited);
-    trace_span.attr_u64("leaves_evaluated", stats.leaves_evaluated);
-    trace_span.attr_u64("pruned", stats.subtrees_pruned);
-    trace_span.attr_u64("variants_skipped", stats.variants_skipped);
-    trace_span.attr_u64("frontier_size", stats.frontier_size);
 }
 
 /// Exhaustive frontier extraction over a serial space:
@@ -400,22 +347,6 @@ pub fn composition_sweep(
     let points = materialize(found, |digits| eval.evaluate(digits));
     stats.frontier_size = points.len() as u64;
     FrontierOutcome { points, stats }
-}
-
-/// [`composition_sweep`] with recorded observability.
-#[must_use]
-pub fn composition_sweep_recorded(
-    space: &CompositionSpace,
-    model: &TcoModel,
-    constraints: &FrontierConstraints,
-    epsilon: f64,
-    rec: &dyn uptime_obs::Recorder,
-    parent: &uptime_obs::TraceSpan,
-) -> FrontierOutcome {
-    let _span = uptime_obs::span!(rec, "optimizer.pareto.search");
-    let outcome = composition_sweep(space, model, constraints, epsilon);
-    record_stats(outcome.stats(), rec, parent);
-    outcome
 }
 
 /// The naive reference over a serial space: materialize a full
@@ -594,7 +525,6 @@ impl Walk for FrontierWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto;
     use uptime_catalog::{case_study, ComponentKind};
 
     fn paper_serial() -> SearchSpace {
@@ -620,8 +550,8 @@ mod tests {
     #[test]
     fn unconstrained_matches_streaming_frontier() {
         let model = case_study::tco_model();
-        let swept = pareto::frontier(&paper_serial(), &model);
-        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9);
+        let swept = sweep(&paper_serial(), &model, &FrontierConstraints::NONE, 0.0).into_points();
+        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9, 1);
         assert_eq!(pairs(bnb.points()), pairs(&swept));
         assert_eq!(bnb.stats().frontier_size, swept.len() as u64);
     }
@@ -635,7 +565,7 @@ mod tests {
             max_failover_minutes: None,
         };
         let naive = naive_frontier(&paper_serial(), &model, &constraints);
-        let bnb = composition_search(&paper_space(), &model, &constraints, 1e-9);
+        let bnb = composition_search(&paper_space(), &model, &constraints, 1e-9, 1);
         assert_eq!(pairs(bnb.points()), pairs(&naive));
         // The cap and floor cut both frontier ends of the paper space.
         assert!(bnb.points().iter().all(|p| p.ha_cost().value() <= 2000.0));
@@ -646,16 +576,10 @@ mod tests {
     fn thread_counts_are_bit_identical() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let base =
-            composition_search_with_threads(&space, &model, &FrontierConstraints::NONE, 1e-9, 1);
+        let base = composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9, 1);
         for threads in [2, 8] {
-            let other = composition_search_with_threads(
-                &space,
-                &model,
-                &FrontierConstraints::NONE,
-                1e-9,
-                threads,
-            );
+            let other =
+                composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9, threads);
             assert_eq!(base.points(), other.points(), "threads {threads} diverged");
         }
     }
@@ -668,7 +592,7 @@ mod tests {
             min_uptime: Some(0.9999),
             max_failover_minutes: None,
         };
-        let outcome = composition_search(&paper_space(), &model, &constraints, 1e-9);
+        let outcome = composition_search(&paper_space(), &model, &constraints, 1e-9, 1);
         assert!(outcome.is_infeasible());
         assert!(naive_frontier(&paper_serial(), &model, &constraints).is_empty());
     }
@@ -677,7 +601,7 @@ mod tests {
     fn prunes_against_full_enumeration() {
         let space = paper_space();
         let model = case_study::tco_model();
-        let outcome = composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9);
+        let outcome = composition_search(&space, &model, &FrontierConstraints::NONE, 1e-9, 1);
         let total: u64 = outcome.stats().leaves_evaluated + outcome.stats().variants_skipped;
         assert_eq!(u128::from(total), space.assignment_count());
     }
@@ -686,7 +610,7 @@ mod tests {
     fn serial_sweep_matches_bounded_search() {
         let model = case_study::tco_model();
         let swept = sweep(&paper_serial(), &model, &FrontierConstraints::NONE, 1e-9);
-        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9);
+        let bnb = composition_search(&paper_space(), &model, &FrontierConstraints::NONE, 1e-9, 1);
         assert_eq!(swept.points(), bnb.points());
         assert_eq!(
             swept.stats().leaves_evaluated,

@@ -88,7 +88,7 @@ fn bnb_agrees_with_golden_winners() {
     for &archetype in Archetype::all() {
         let space = archetype.space(&catalog, &cloud).unwrap();
         let fast = composition::search(&space, &model, Objective::MinTco);
-        let bnb = composition_bnb::search_with_threads(&space, &model, 0);
+        let (bnb, _) = composition_bnb::search(&space, &model, 0);
         assert_eq!(
             bnb.best().unwrap().assignment(),
             fast.best().unwrap().assignment(),

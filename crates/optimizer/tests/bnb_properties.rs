@@ -146,7 +146,7 @@ proptest! {
         threads in 1usize..=8,
     ) {
         let streamed = composition::search(&space, &model, Objective::MinTco);
-        let bounded = composition_bnb::search_with_threads(&space, &model, threads);
+        let (bounded, _) = composition_bnb::search(&space, &model, threads);
         prop_assert_eq!(bounded.best().unwrap(), streamed.best().unwrap());
         prop_assert_eq!(
             u128::from(bounded.stats().considered()),

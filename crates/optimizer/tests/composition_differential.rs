@@ -192,7 +192,7 @@ fn run_serial_differential(seed: u64) {
     // streaming argmin bit-for-bit, at every thread count.
     let streaming = composition::search(&space, &model, Objective::MinTco);
     for threads in [1, 2, 8] {
-        let comp_bnb = composition_bnb::search_with_threads(&space, &model, threads);
+        let (comp_bnb, _) = composition_bnb::search(&space, &model, threads);
         assert_eq!(
             comp_bnb.best().unwrap(),
             streaming.best().unwrap(),
@@ -270,7 +270,7 @@ fn run_dag_differential(seed: u64) {
     );
 
     for threads in [1, 2, 8] {
-        let bounded = composition_bnb::search_with_threads(&space, &model, threads);
+        let (bounded, _) = composition_bnb::search(&space, &model, threads);
         check(
             &format!("composition_bnb x{threads}"),
             bounded.best().unwrap(),
@@ -283,7 +283,7 @@ fn run_dag_differential(seed: u64) {
         // Thread counts must also agree bit-for-bit with each other.
         assert_eq!(
             bounded.best().unwrap(),
-            composition_bnb::search(&space, &model).best().unwrap(),
+            composition_bnb::search(&space, &model, 1).0.best().unwrap(),
             "seed {seed} x{threads}: thread count changed the winner"
         );
     }

@@ -9,7 +9,7 @@
 //!   with TCO and uptime within `1e-12`.
 //! * `exhaustive::search` must reproduce the kernel's evaluation of every
 //!   assignment **exactly** (bit-for-bit), in lexicographic order.
-//! * `composition_bnb::search_with_threads` must return a winner
+//! * `composition_bnb::search` must return a winner
 //!   bit-identical to `composition::search` at 1, 2, and 8 worker threads,
 //!   with `evaluated + skipped` covering the whole space.
 //! * `greedy` is a heuristic: its result must be a valid assignment whose
@@ -215,7 +215,7 @@ fn run_differential(seed: u64) {
         space.assignment_count(),
         "pruned: evaluated + skipped must cover the space"
     );
-    let bounded = composition_bnb::search(&chain, &model);
+    let (bounded, _) = composition_bnb::search(&chain, &model, 1);
     assert_same_optimum("composition_bnb", &reference, bounded.best().unwrap());
     assert_eq!(
         u128::from(bounded.stats().considered()),
@@ -235,7 +235,7 @@ fn run_differential(seed: u64) {
         "composition_bnb: winner must equal composition::search bit-for-bit"
     );
     for threads in [2, 8] {
-        let sharded = composition_bnb::search_with_threads(&chain, &model, threads);
+        let (sharded, _) = composition_bnb::search(&chain, &model, threads);
         assert_eq!(
             sharded.best().unwrap(),
             serial_best,

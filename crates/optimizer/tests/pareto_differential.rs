@@ -190,7 +190,7 @@ fn run_serial_differential(seed: u64) {
         ("constrained", constraints),
     ] {
         let naive = pareto_bnb::naive_frontier(&serial, &model, &cons);
-        let base = pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, 1);
+        let base = pareto_bnb::composition_search(&space, &model, &cons, 1e-9, 1);
         assert_eq!(
             pairs(base.points()),
             pairs(&naive),
@@ -210,8 +210,7 @@ fn run_serial_differential(seed: u64) {
             "seed {seed} {label}: evaluated + skipped must cover the space"
         );
         for threads in [2, 8] {
-            let other =
-                pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, threads);
+            let other = pareto_bnb::composition_search(&space, &model, &cons, 1e-9, threads);
             assert_eq!(
                 base.points(),
                 other.points(),
@@ -234,7 +233,7 @@ fn run_dag_differential(seed: u64) {
         ("constrained", constraints),
     ] {
         let naive = pareto_bnb::naive_composition_frontier(&space, &model, &cons);
-        let base = pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, 1);
+        let base = pareto_bnb::composition_search(&space, &model, &cons, 1e-9, 1);
         assert_eq!(
             pairs(base.points()),
             pairs(&naive),
@@ -248,8 +247,7 @@ fn run_dag_differential(seed: u64) {
             "seed {seed} {label}: exhaustive composition sweep diverged from BnB"
         );
         for threads in [2, 8] {
-            let other =
-                pareto_bnb::composition_search_with_threads(&space, &model, &cons, 1e-9, threads);
+            let other = pareto_bnb::composition_search(&space, &model, &cons, 1e-9, threads);
             assert_eq!(
                 base.points(),
                 other.points(),

@@ -86,30 +86,6 @@ impl FailureScript {
     /// * [`SimError::ScriptOverlap`] when two outages of the same node
     ///   overlap (a node cannot fail while already down).
     pub fn run(&self, system: &SystemSpec, horizon: SimDuration) -> Result<SimReport, SimError> {
-        self.run_core(system, horizon)
-    }
-
-    /// [`run`](Self::run) with observability: the identical replay wrapped
-    /// in a `sim.replay` span, flushing `sim.replay.scripted_outages` and
-    /// `sim.replay.system_outages` once at the end.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_recorded(
-        &self,
-        system: &SystemSpec,
-        horizon: SimDuration,
-        rec: &dyn uptime_obs::Recorder,
-    ) -> Result<SimReport, SimError> {
-        let _span = uptime_obs::span!(rec, "sim.replay");
-        let report = self.run_core(system, horizon)?;
-        rec.counter_add("sim.replay.scripted_outages", self.outages.len() as u64);
-        rec.counter_add("sim.replay.system_outages", report.system_outages());
-        Ok(report)
-    }
-
-    fn run_core(&self, system: &SystemSpec, horizon: SimDuration) -> Result<SimReport, SimError> {
         if horizon == SimDuration::ZERO {
             return Err(SimError::EmptyHorizon);
         }

@@ -180,27 +180,6 @@ impl MonteCarloRunner {
     /// * [`SimError::NoTrials`] when `trials == 0`.
     /// * Any configuration error from the underlying [`Simulation`].
     pub fn run(&self) -> Result<MonteCarloEstimate, SimError> {
-        self.run_with(&uptime_obs::NOOP)
-    }
-
-    /// [`run`](Self::run) with observability: the whole batch wrapped in a
-    /// `sim.monte_carlo` span, each trial's event count accumulated into
-    /// `sim.events`, and `sim.monte_carlo.trials` flushed at the end.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_recorded(
-        &self,
-        rec: &dyn uptime_obs::Recorder,
-    ) -> Result<MonteCarloEstimate, SimError> {
-        let _span = uptime_obs::span!(rec, "sim.monte_carlo");
-        let estimate = self.run_with(rec)?;
-        rec.counter_add("sim.monte_carlo.trials", u64::from(self.trials));
-        Ok(estimate)
-    }
-
-    fn run_with(&self, rec: &dyn uptime_obs::Recorder) -> Result<MonteCarloEstimate, SimError> {
         if self.trials == 0 {
             return Err(SimError::NoTrials);
         }
@@ -227,7 +206,7 @@ impl MonteCarloRunner {
                                         .with_seed(crate::rng::stream_seed(base, u64::from(i))),
                                 )
                                 .expect("validated by probe")
-                                .run_recorded(rec)
+                                .run()
                                 .availability()
                                 .value()
                             })

@@ -123,41 +123,14 @@ impl Simulation {
     /// Runs the event loop to the horizon and returns the report.
     #[must_use]
     pub fn run(self) -> SimReport {
-        self.run_traced().0
-    }
-
-    /// [`run`](Self::run) with observability: the identical event loop
-    /// wrapped in a `sim.trial` span, flushing `sim.events` (events
-    /// processed) and `sim.outages` once at the end.
-    #[must_use]
-    pub fn run_recorded(self, rec: &dyn uptime_obs::Recorder) -> SimReport {
-        let _span = uptime_obs::span!(rec, "sim.trial");
-        let (report, _, _, events) = self.run_counted();
-        rec.counter_add("sim.events", events);
-        rec.counter_add("sim.outages", report.system_outages());
-        report
-    }
-
-    /// Runs and additionally returns the captured trace (empty unless
-    /// [`SimConfig::with_trace`] was set).
-    #[must_use]
-    pub fn run_traced(self) -> (SimReport, Trace) {
-        let (report, trace, _) = self.run_full();
-        (report, trace)
+        self.run_full().0
     }
 
     /// Runs and returns the report, the trace (empty unless
     /// [`SimConfig::with_trace`]) and the outage log (present only with
     /// [`SimConfig::with_outage_log`]).
     #[must_use]
-    pub fn run_full(self) -> (SimReport, Trace, Option<crate::workload::OutageLog>) {
-        let (report, trace, outages, _) = self.run_counted();
-        (report, trace, outages)
-    }
-
-    /// The event loop itself; also counts events popped off the queue so
-    /// recorded runs can report throughput without touching the loop body.
-    fn run_counted(mut self) -> (SimReport, Trace, Option<crate::workload::OutageLog>, u64) {
+    pub fn run_full(mut self) -> (SimReport, Trace, Option<crate::workload::OutageLog>) {
         let horizon_time = SimTime::ZERO + self.config.horizon;
         let mut queue = EventQueue::new();
         let mut sampler = ExpSampler::seed_from_u64(self.config.seed);
@@ -178,10 +151,8 @@ impl Simulation {
             }
         }
 
-        let mut events_processed: u64 = 0;
         while let Some(event) = queue.pop() {
             let now = event.at;
-            events_processed += 1;
             match event.kind {
                 EventKind::HorizonReached => break,
                 EventKind::NodeFailed { cluster: ci, node } => {
@@ -243,7 +214,6 @@ impl Simulation {
             ),
             trace,
             outages,
-            events_processed,
         )
     }
 }
@@ -394,10 +364,10 @@ mod tests {
     #[test]
     fn trace_capture_records_node_events() {
         let sys = singleton_system(0.1, 6.0);
-        let (report, trace) =
+        let (report, trace, _) =
             Simulation::new(&sys, SimConfig::years(5.0).with_seed(5).with_trace())
                 .unwrap()
-                .run_traced();
+                .run_full();
         assert!(report.system_outages() > 0);
         let downs = trace
             .events()
@@ -449,28 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn recorded_run_matches_and_counts_events() {
-        let sys = singleton_system(0.05, 3.0);
-        let registry = uptime_obs::MetricsRegistry::new();
-        let plain = Simulation::new(&sys, SimConfig::years(10.0).with_seed(9))
-            .unwrap()
-            .run();
-        let recorded = Simulation::new(&sys, SimConfig::years(10.0).with_seed(9))
-            .unwrap()
-            .run_recorded(&registry);
-        assert_eq!(plain, recorded, "instrumentation must not change results");
-        let snap = registry.snapshot();
-        assert!(snap.counter("sim.events").unwrap() > 0);
-        assert_eq!(snap.counter("sim.outages"), Some(recorded.system_outages()));
-        assert_eq!(snap.counter("sim.trial.calls"), Some(1));
-    }
-
-    #[test]
     fn without_trace_flag_trace_is_empty() {
         let sys = singleton_system(0.1, 6.0);
-        let (_, trace) = Simulation::new(&sys, SimConfig::years(2.0).with_seed(6))
+        let (_, trace, _) = Simulation::new(&sys, SimConfig::years(2.0).with_seed(6))
             .unwrap()
-            .run_traced();
+            .run_full();
         assert!(trace.is_empty());
     }
 }

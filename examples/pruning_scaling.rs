@@ -70,7 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let space = synthetic_space(n, k);
             let full = exhaustive::search(&space, &model, Objective::MinTco);
             let fast = pruned::search(&space, &model, Objective::MinTco);
-            let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
+            let (bb, _) =
+                composition_bnb::search(&CompositionSpace::from_serial(&space), &model, 1);
             let best = full.best().unwrap().tco().total();
             let agree = fast.best().unwrap().tco().total() == best
                 && bb.best().unwrap().tco().total() == best;

@@ -77,7 +77,7 @@ proptest! {
     fn exact_searches_agree(space in space_strategy(), model in model_strategy()) {
         let full = exhaustive::search(&space, &model, Objective::MinTco);
         let fast = pruned::search(&space, &model, Objective::MinTco);
-        let bb = composition_bnb::search(&CompositionSpace::from_serial(&space), &model);
+        let (bb, _) = composition_bnb::search(&CompositionSpace::from_serial(&space), &model, 1);
         let best = full.best().unwrap().tco().total();
         prop_assert_eq!(fast.best().unwrap().tco().total(), best);
         prop_assert_eq!(bb.best().unwrap().tco().total(), best);
