@@ -1,6 +1,6 @@
-//! The kernel bench binaries take their report path as a required
-//! argument: a bare run prints its usage and exits 2 before any work, so
-//! it never overwrites a checked-in `BENCH_PR*.json`.
+//! `bench` takes exactly one report path and an optional `--enforce`:
+//! anything else prints its usage and exits 2 before any work, so a bare
+//! or mistyped run never overwrites a report or silently skips the gates.
 
 use std::process::Command;
 
@@ -8,25 +8,27 @@ use std::process::Command;
 fn bench_binaries_without_a_report_path_exit_2_and_write_nothing() {
     let dir = std::env::temp_dir().join(format!("uptime-bench-usage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create a scratch directory");
-    for (name, bin) in [
-        ("bench", env!("CARGO_BIN_EXE_bench")),
-        ("bnb_bench", env!("CARGO_BIN_EXE_bnb_bench")),
-        ("composition_bench", env!("CARGO_BIN_EXE_composition_bench")),
-        ("journal_bench", env!("CARGO_BIN_EXE_journal_bench")),
+    let no_args: &[&str] = &[];
+    for args in [
+        no_args,
+        &["out.json", "--enforc"],
+        &["out.json", "other.json"],
+        &["--enforce"],
     ] {
-        let out = Command::new(bin)
+        let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+            .args(args)
             .current_dir(&dir)
             .output()
             .expect("run the binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with(&format!("usage: {name} OUT.json")),
-            "{name}: {stderr}"
+            stderr.starts_with("usage: bench OUT.json [--enforce]"),
+            "{args:?}: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "{name} did work before exiting");
+        assert!(out.stdout.is_empty(), "{args:?}: bench did work");
         let written = std::fs::read_dir(&dir).expect("list the directory").count();
-        assert_eq!(written, 0, "{name} wrote a file");
+        assert_eq!(written, 0, "{args:?}: bench wrote a file");
     }
     std::fs::remove_dir(&dir).expect("remove the scratch directory");
 }

@@ -72,8 +72,8 @@
 //!     Print usage, including the exit-code contract.
 //! ```
 //!
-//! A command given a flag it does not take exits 2 and names the flag;
-//! `serve` and `trace` parse their own arguments.
+//! A command given a flag it does not take, or a flag value that is
+//! missing or malformed, exits 2 and names the flag.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -106,13 +106,13 @@ fn main() -> ExitCode {
             continue;
         }
         flags.push(arg);
-        if let Some((_, what, integer)) = VALUE_FLAGS.iter().find(|(flag, ..)| *flag == arg) {
+        if let Some((_, what, valid)) = VALUE_FLAGS.iter().find(|(flag, ..)| *flag == arg) {
             let Some(value) = iter.next() else {
-                eprintln!("brokerctl: {arg} needs {what}");
+                eprintln!("brokerctl: `{arg}` needs {what}");
                 return ExitCode::from(2);
             };
-            if *integer && value.parse::<u64>().is_err() {
-                eprintln!("brokerctl: {arg} must be an integer");
+            if !valid(value) {
+                eprintln!("brokerctl: `{arg}` needs {what}, not `{value}`");
                 return ExitCode::from(2);
             }
             values.insert(arg, value);
@@ -132,13 +132,11 @@ fn main() -> ExitCode {
         eprintln!("brokerctl {command}: unknown flag `{flag}`");
         return ExitCode::from(2);
     }
-    let integer = |flag| {
-        values
-            .get(flag)
-            .map(|v| v.parse::<u64>().expect("checked above"))
-    };
-    let (disk_chaos, watch) = (integer("--disk-chaos"), integer("--watch"));
-    let iters = integer("--iters").unwrap_or(0);
+    let (disk_chaos, watch) = (
+        integer(&values, "--disk-chaos"),
+        integer(&values, "--watch"),
+    );
+    let iters = integer(&values, "--iters").unwrap_or(0);
     let state_dir = values.get("--state-dir").copied();
     let archetype = values.get("--archetype").copied();
     if command == Some("health") {
@@ -205,8 +203,8 @@ fn main() -> ExitCode {
         Some("sweep") => sweep_command(hybrid, &positional),
         Some("settle") => settle_command(&positional),
         Some("metacloud") => metacloud_command(),
-        Some("serve") => serve_command(&args),
-        Some("trace") => trace_command(&args),
+        Some("serve") => serve_command(hybrid, &flags, &values, positional.first().copied()),
+        Some("trace") => trace_command(json, &flags, &values),
         Some("obs") => obs_command(
             hybrid,
             flags.contains(&"--prom"),
@@ -232,26 +230,70 @@ fn main() -> ExitCode {
     }
 }
 
-/// The flags that take a value: what the value is, and whether it must be
-/// an integer.
-const VALUE_FLAGS: [(&str, &str, bool); 7] = [
-    ("--state-dir", "a directory", false),
-    ("--disk-chaos", "a seed", true),
-    ("--archetype", "an archetype name", false),
-    ("--spec", "a SLO spec file", false),
-    ("--inline", "a JSON SLO spec", false),
-    ("--watch", "an interval in seconds", true),
-    ("--iters", "a count", true),
+/// A flag that takes a value: the flag, what the value is, and whether a
+/// given value is well formed.
+type ValueFlag = (&'static str, &'static str, fn(&str) -> bool);
+
+/// The flags that take a value.
+const VALUE_FLAGS: [ValueFlag; 16] = [
+    ("--state-dir", "a directory", is_any),
+    ("--disk-chaos", "a seed", is_integer),
+    ("--archetype", "an archetype name", is_any),
+    ("--spec", "a SLO spec file", is_any),
+    ("--inline", "a JSON SLO spec", is_any),
+    ("--watch", "an interval in seconds", is_integer),
+    ("--iters", "a count", is_integer),
+    ("--addr", "HOST:PORT", is_any),
+    ("--workers", "a worker count", is_integer),
+    ("--queue", "a queue depth", is_integer),
+    ("--fsync", "a policy (os|always|every:N)", |v| {
+        v.parse::<FsyncPolicy>().is_ok()
+    }),
+    ("--snapshot-every", "an absorb count", is_integer),
+    ("--trace-capacity", "a trace count", is_integer),
+    ("--trace-slow-ms", "milliseconds", is_integer),
+    ("--trace-sample", "a one-in-N rate", is_integer),
+    ("--slowest", "a count", is_integer),
 ];
 
-/// The flags a command takes; `None` for `serve` and `trace`, which parse
-/// their own arguments, and for unknown commands.
+fn is_any(_: &str) -> bool {
+    true
+}
+
+fn is_integer(value: &str) -> bool {
+    value.parse::<u64>().is_ok()
+}
+
+/// The value of an integer flag, which `main` has already checked.
+fn integer(values: &BTreeMap<&str, &str>, flag: &str) -> Option<u64> {
+    values
+        .get(flag)
+        .map(|v| v.parse().expect("checked against VALUE_FLAGS"))
+}
+
+/// The flags a command takes; `None` for unknown commands.
 fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
         "catalog" | "sweep" => &["--hybrid"],
         "recommend" => &["--hybrid", "--json", "--archetype", "--state-dir"],
         "frontier" => &["--hybrid", "--json", "--archetype", "--spec", "--inline"],
         "settle" | "metacloud" => &[],
+        "serve" => &[
+            "--hybrid",
+            "--addr",
+            "--workers",
+            "--queue",
+            "--chaos",
+            "--state-dir",
+            "--fsync",
+            "--snapshot-every",
+            "--no-trace",
+            "--trace-capacity",
+            "--trace-slow-ms",
+            "--trace-sample",
+            "--stdin",
+        ],
+        "trace" => &["--addr", "--slowest", "--errors", "--json", "--chrome"],
         "health" => &["--hybrid", "--json", "--chaos"],
         "recover" => &[
             "--hybrid",
@@ -609,84 +651,41 @@ fn sweep_command(hybrid: bool, positional: &[&str]) -> Result<(), Box<dyn std::e
 /// JSON frames over TCP through `uptime-serve`'s cache, single-flight
 /// coalescing, and backpressured worker pool. Shut it down with a
 /// `{"endpoint":"shutdown"}` frame; in-flight requests drain first.
-fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut hybrid = false;
-    let mut stdin_mode = false;
-    let mut chaos: Option<u64> = None;
-    let mut config = ServerConfig::default();
-    let mut state_dir: Option<String> = None;
-    let mut fsync = FsyncPolicy::default();
-    let mut snapshot_every: Option<u64> = None;
-    let mut iter = args.iter().map(String::as_str).skip(1);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--hybrid" => hybrid = true,
-            "--stdin" => stdin_mode = true,
-            "--no-trace" => config.trace.enabled = false,
-            "--trace-capacity" => {
-                config.trace.capacity = iter
-                    .next()
-                    .ok_or("--trace-capacity needs a trace count")?
-                    .parse()?;
-            }
-            "--trace-slow-ms" => {
-                let ms: u64 = iter
-                    .next()
-                    .ok_or("--trace-slow-ms needs milliseconds")?
-                    .parse()?;
-                config.trace.slow_threshold_ns = ms.saturating_mul(1_000_000);
-            }
-            "--trace-sample" => {
-                config.trace.sample_one_in = iter
-                    .next()
-                    .ok_or("--trace-sample needs a one-in-N rate")?
-                    .parse()?;
-            }
-            "--addr" => {
-                config.addr = iter.next().ok_or("--addr needs HOST:PORT")?.to_owned();
-            }
-            "--state-dir" => {
-                state_dir = Some(
-                    iter.next()
-                        .ok_or("--state-dir needs a directory")?
-                        .to_owned(),
-                );
-            }
-            "--fsync" => {
-                fsync = iter
-                    .next()
-                    .ok_or("--fsync needs a policy (os|always|every:N)")?
-                    .parse()?;
-            }
-            "--snapshot-every" => {
-                snapshot_every = Some(
-                    iter.next()
-                        .ok_or("--snapshot-every needs an absorb count")?
-                        .parse()?,
-                );
-            }
-            "--workers" => {
-                config.workers = iter.next().ok_or("--workers needs a count")?.parse()?;
-            }
-            "--queue" => {
-                config.queue_depth = iter.next().ok_or("--queue needs a depth")?.parse()?;
-            }
-            "--chaos" => {
-                chaos = Some(iter.next().ok_or("--chaos needs a seed")?.parse()?);
-            }
-            other => return Err(format!("serve: unknown argument `{other}`").into()),
-        }
-    }
-    if stdin_mode {
+fn serve_command(
+    hybrid: bool,
+    flags: &[&str],
+    values: &BTreeMap<&str, &str>,
+    seed_arg: Option<&str>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if flags.contains(&"--stdin") {
         return serve_stdin(hybrid);
     }
+    let chaos = flags.contains(&"--chaos");
+    let seed: u64 = seed_arg.map_or(Ok(7), str::parse)?;
+    let mut config = ServerConfig::default();
+    if let Some(addr) = values.get("--addr") {
+        config.addr = (*addr).to_owned();
+    }
+    let count = |flag, default: usize| integer(values, flag).map_or(default, |n| n as usize);
+    config.workers = count("--workers", config.workers);
+    config.queue_depth = count("--queue", config.queue_depth);
+    config.trace.capacity = count("--trace-capacity", config.trace.capacity);
+    config.trace.enabled &= !flags.contains(&"--no-trace");
+    if let Some(ms) = integer(values, "--trace-slow-ms") {
+        config.trace.slow_threshold_ns = ms.saturating_mul(1_000_000);
+    }
+    let sample = integer(values, "--trace-sample");
+    config.trace.sample_one_in = sample.unwrap_or(config.trace.sample_one_in);
+    let fsync = values
+        .get("--fsync")
+        .map_or(Ok(FsyncPolicy::default()), |v| v.parse())?;
 
     let store = catalog(hybrid);
     let registry = Arc::new(uptime_obs::MetricsRegistry::new());
     let mut service = BrokerService::new(store.clone()).with_recorder(Arc::clone(&registry) as _);
-    if let Some(dir) = &state_dir {
+    if let Some(dir) = values.get("--state-dir") {
         let mut durability = DurabilityConfig::new(dir).with_fsync(fsync);
-        if let Some(every) = snapshot_every {
+        if let Some(every) = integer(values, "--snapshot-every") {
             durability = durability.with_snapshot_every(every);
         }
         let (recovered, report) = service.with_durability(durability)?;
@@ -694,8 +693,7 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         print_recovery_summary(&report);
     }
     let broker = Arc::new(service);
-    let targets =
-        register_simulated_providers(&broker, &store, chaos.is_some(), chaos.unwrap_or(7));
+    let targets = register_simulated_providers(&broker, &store, chaos, seed);
     let mut backend = ServingBroker::new(broker).with_sync_targets(targets);
     if config.trace.enabled {
         // One recorder shared between the server (which begins traces)
@@ -712,7 +710,7 @@ fn serve_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         handle.local_addr(),
         workers,
         queue,
-        if chaos.is_some() {
+        if chaos {
             "chaotic providers"
         } else {
             "clean providers"
@@ -1068,27 +1066,17 @@ const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7411";
 /// span tree (default), the raw export JSON (`--json`), or Chrome
 /// `trace_event` JSON (`--chrome`, loadable in `chrome://tracing` /
 /// Perfetto).
-fn trace_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn trace_command(
+    raw_json: bool,
+    flags: &[&str],
+    values: &BTreeMap<&str, &str>,
+) -> Result<(), Box<dyn std::error::Error>> {
     use std::io::{BufRead, BufReader, Write};
 
-    let mut addr = DEFAULT_SERVE_ADDR.to_owned();
-    let mut slowest: Option<u64> = None;
-    let mut errors = false;
-    let mut raw_json = false;
-    let mut chrome = false;
-    let mut iter = args.iter().map(String::as_str).skip(1);
-    while let Some(arg) = iter.next() {
-        match arg {
-            "--addr" => addr = iter.next().ok_or("--addr needs HOST:PORT")?.to_owned(),
-            "--slowest" => {
-                slowest = Some(iter.next().ok_or("--slowest needs a count")?.parse()?);
-            }
-            "--errors" => errors = true,
-            "--json" => raw_json = true,
-            "--chrome" => chrome = true,
-            other => return Err(format!("trace: unknown argument `{other}`").into()),
-        }
-    }
+    let addr = values.get("--addr").copied().unwrap_or(DEFAULT_SERVE_ADDR);
+    let slowest = integer(values, "--slowest");
+    let errors = flags.contains(&"--errors");
+    let chrome = flags.contains(&"--chrome");
     if raw_json && chrome {
         return Err("trace: --json and --chrome are mutually exclusive".into());
     }
@@ -1110,7 +1098,7 @@ fn trace_command(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "body": serde_json::Value::Object(body),
     });
 
-    let stream = std::net::TcpStream::connect(&addr)
+    let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("trace: cannot reach daemon at {addr}: {e}"))?;
     let mut writer = stream.try_clone()?;
     let mut request = serde_json::to_string(&frame)?;

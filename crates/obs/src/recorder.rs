@@ -10,8 +10,7 @@
 /// Instrumentation discipline: hot loops accumulate into locals and flush
 /// through this trait once per phase (per search, per sync, per trial) —
 /// never per variant or per event. That keeps the cost of the dynamic
-/// dispatch bounded by phase count, which is why the no-op overhead budget
-/// of <5 % on `fast_search` holds trivially.
+/// dispatch bounded by phase count.
 pub trait Recorder: Send + Sync {
     /// Adds `delta` to the monotonic counter `name`.
     fn counter_add(&self, name: &str, delta: u64) {

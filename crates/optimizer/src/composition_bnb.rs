@@ -83,8 +83,8 @@ const TASKS_PER_THREAD: usize = 8;
 
 /// Branch-and-bound instrumentation beyond [`SearchStats`] — the shape of
 /// the search tree actually walked. [`search`] returns it beside every
-/// outcome; the broker records it per call and the bench binaries
-/// serialize it into `BENCH_PR5.json`.
+/// outcome; the broker records it per call and the kernel benchmark
+/// (`bench`) serializes it into its report rows.
 ///
 /// Under parallelism these counts depend on incumbent-propagation timing
 /// and are **not** deterministic across runs or thread counts (the argmin
