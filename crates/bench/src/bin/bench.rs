@@ -29,7 +29,9 @@ use uptime_bench::{
     hybrid_metacloud_space, option_system, paper_broker, paper_catalog, paper_cloud, paper_model,
     paper_request, paper_space, synthetic_model, synthetic_space,
 };
-use uptime_broker::{settlement, BrokerService, DurabilityConfig, GroundTruth, SimulatedProvider};
+use uptime_broker::{
+    settlement, BrokerService, CloudProvider, DurabilityConfig, SimulatedProvider,
+};
 use uptime_catalog::{case_study, CatalogStore, CloudId, ComponentKind};
 use uptime_core::confidence::{uptime_interval, ConfidenceLevel, ProbabilityInterval};
 use uptime_core::{
@@ -790,17 +792,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// seeds.
 fn sync_plan(broker: &BrokerService, store: &CatalogStore) -> Vec<(CloudId, ComponentKind, u64)> {
     let mut targets = Vec::new();
-    for id in store.cloud_ids() {
-        let profile = store.cloud(id).expect("listed id resolves");
-        let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
-        for (k, kind) in profile.observed_components().enumerate() {
-            let record = profile.reliability(kind).expect("observed");
-            let truth = GroundTruth {
-                down_probability: record.down_probability(),
-                failures_per_year: record.failures_per_year(),
-            };
-            provider = provider.with_ground_truth(kind, truth);
-            targets.push((id.clone(), kind, k as u64));
+    for (provider, kinds) in SimulatedProvider::for_catalog(store) {
+        for (k, kind) in kinds.into_iter().enumerate() {
+            targets.push((provider.id().clone(), kind, k as u64));
         }
         broker.register_provider(Box::new(provider));
     }

@@ -73,7 +73,9 @@
 //! ```
 //!
 //! A command given a flag it does not take, or a flag value that is
-//! missing or malformed, exits 2 and names the flag.
+//! missing or malformed, exits 2 and names the flag. A missing or
+//! malformed number argument (FROM, TO, STEPS, MONTHS, SEED) exits 2 and
+//! names the argument.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -81,7 +83,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use uptime_broker::{
-    report, settlement, BrokerService, ChaosConfig, ChaosProvider, DurabilityConfig, GroundTruth,
+    report, settlement, BrokerService, ChaosConfig, ChaosProvider, CloudProvider, DurabilityConfig,
     RecoveryReport, ServingBroker, SimulatedProvider, SolutionRequest,
 };
 use uptime_catalog::{case_study, extended, CatalogStore, ComponentKind};
@@ -131,6 +133,20 @@ fn main() -> ExitCode {
     if let (Some(command), Some(flag)) = (command, unknown) {
         eprintln!("brokerctl {command}: unknown flag `{flag}`");
         return ExitCode::from(2);
+    }
+    let numbers = command.map_or(&[][..], numeric_positionals);
+    for (i, (name, what, valid, required)) in numbers.iter().enumerate() {
+        match positional.get(i) {
+            None if *required => {
+                eprintln!("brokerctl: `{name}` is missing; it needs {what}");
+                return ExitCode::from(2);
+            }
+            Some(value) if !valid(value) => {
+                eprintln!("brokerctl: `{name}` needs {what}, not `{value}`");
+                return ExitCode::from(2);
+            }
+            _ => {}
+        }
     }
     let (disk_chaos, watch) = (
         integer(&values, "--disk-chaos"),
@@ -256,12 +272,52 @@ const VALUE_FLAGS: [ValueFlag; 16] = [
     ("--slowest", "a count", is_integer),
 ];
 
+/// A positional argument that must be a number: its name, what it is,
+/// whether a given value is well formed, and whether it is required.
+type NumericPositional = (&'static str, &'static str, fn(&str) -> bool, bool);
+
+/// A command's numeric positional arguments, in order; `main` checks
+/// them before the command runs.
+fn numeric_positionals(command: &str) -> &'static [NumericPositional] {
+    const SEED: NumericPositional = ("SEED", "a seed", is_integer, false);
+    match command {
+        "sweep" => &[
+            ("FROM", "an SLA percentage", is_number, true),
+            ("TO", "an SLA percentage", is_number, true),
+            ("STEPS", "a step count", is_integer, true),
+        ],
+        "settle" => &[("MONTHS", "a month count", is_month_count, true), SEED],
+        "health" | "obs" | "serve" => &[SEED],
+        _ => &[],
+    }
+}
+
+/// A positional number that `main` has already checked.
+fn checked<T: std::str::FromStr>(value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| unreachable!("`{value}` was checked by numeric_positionals"))
+}
+
+/// The SEED positional, or the default seed 7.
+fn seed(arg: Option<&str>) -> u64 {
+    arg.map_or(7, checked)
+}
+
 fn is_any(_: &str) -> bool {
     true
 }
 
 fn is_integer(value: &str) -> bool {
     value.parse::<u64>().is_ok()
+}
+
+fn is_number(value: &str) -> bool {
+    value.parse::<f64>().is_ok()
+}
+
+fn is_month_count(value: &str) -> bool {
+    value.parse::<u32>().is_ok()
 }
 
 /// The value of an integer flag, which `main` has already checked.
@@ -600,12 +656,9 @@ fn frontier_command(
 }
 
 fn sweep_command(hybrid: bool, positional: &[&str]) -> Result<(), Box<dyn std::error::Error>> {
-    let [from, to, steps] = positional else {
-        return Err("sweep needs FROM TO STEPS".into());
-    };
-    let from: f64 = from.parse()?;
-    let to: f64 = to.parse()?;
-    let steps: usize = steps.parse()?;
+    let from: f64 = checked(positional[0]);
+    let to: f64 = checked(positional[1]);
+    let steps: usize = checked(positional[2]);
     let store = catalog(hybrid);
     let cloud = case_study::cloud_id();
     let space = SearchSpace::from_catalog(&store, &cloud, &ComponentKind::paper_tiers())?;
@@ -661,7 +714,7 @@ fn serve_command(
         return serve_stdin(hybrid);
     }
     let chaos = flags.contains(&"--chaos");
-    let seed: u64 = seed_arg.map_or(Ok(7), str::parse)?;
+    let seed = seed(seed_arg);
     let mut config = ServerConfig::default();
     if let Some(addr) = values.get("--addr") {
         config.addr = (*addr).to_owned();
@@ -799,21 +852,8 @@ fn register_simulated_providers(
     seed: u64,
 ) -> Vec<(uptime_catalog::CloudId, Vec<ComponentKind>)> {
     let mut components = Vec::new();
-    for id in store.cloud_ids() {
-        let profile = store.cloud(id).expect("listed id resolves");
-        let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
-        let mut kinds = Vec::new();
-        for kind in profile.observed_components() {
-            let record = profile.reliability(kind).expect("observed");
-            provider = provider.with_ground_truth(
-                kind,
-                GroundTruth {
-                    down_probability: record.down_probability(),
-                    failures_per_year: record.failures_per_year(),
-                },
-            );
-            kinds.push(kind);
-        }
+    for (provider, kinds) in SimulatedProvider::for_catalog(store) {
+        let id = provider.id().clone();
         if chaos {
             broker.register_provider(Box::new(ChaosProvider::new(
                 provider,
@@ -822,7 +862,7 @@ fn register_simulated_providers(
         } else {
             broker.register_provider(Box::new(provider));
         }
-        components.push((id.clone(), kinds));
+        components.push((id, kinds));
     }
     components
 }
@@ -853,7 +893,7 @@ fn health_command(
     chaos: bool,
     seed_arg: Option<&str>,
 ) -> Result<bool, Box<dyn std::error::Error>> {
-    let seed: u64 = seed_arg.map_or(Ok(7), str::parse)?;
+    let seed = seed(seed_arg);
     let store = catalog(hybrid);
     let broker = BrokerService::new(store.clone());
     let components = register_simulated_providers(&broker, &store, chaos, seed);
@@ -999,7 +1039,7 @@ fn obs_command(
     iters: u64,
     seed_arg: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let seed: u64 = seed_arg.map_or(Ok(7), str::parse)?;
+    let seed = seed(seed_arg);
     let store = catalog(hybrid);
     let registry = Arc::new(uptime_obs::MetricsRegistry::new());
     let broker = BrokerService::new(store.clone()).with_recorder(registry.clone());
@@ -1215,8 +1255,8 @@ fn print_trace_trees(body: &serde_json::Value) -> Result<(), Box<dyn std::error:
 }
 
 fn settle_command(positional: &[&str]) -> Result<(), Box<dyn std::error::Error>> {
-    let months: u32 = positional.first().ok_or("settle needs MONTHS")?.parse()?;
-    let seed: u64 = positional.get(1).map_or(Ok(7), |s| s.parse())?;
+    let months: u32 = checked(positional[0]);
+    let seed = seed(positional.get(1).copied());
 
     // The case-study optimum (option #3): storage RAID-1 only.
     let store = case_study::catalog();

@@ -110,101 +110,6 @@ pub struct JournalEntry {
     pub record: ReliabilityRecord,
 }
 
-impl JournalEntry {
-    /// Serializes to exactly the bytes `serde_json::to_string` would
-    /// produce — sorted keys, shortest-round-trip float formatting,
-    /// identical string escaping — without building the intermediate
-    /// value tree. The absorb path journals every accepted batch, so
-    /// encoding is absorb-path cost: the generic serializer spends ~3 µs
-    /// allocating a tree for this ~300-byte entry, the direct writer
-    /// ~0.3 µs. `encode_matches_generic_serializer` pins the equivalence
-    /// so the two paths can never drift.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-
-        let mut out = String::with_capacity(352);
-        out.push_str("{\"cloud\":");
-        push_json_str(&mut out, self.cloud.as_str());
-        let _ = write!(out, ",\"epoch_after\":{}", self.epoch_after);
-        out.push_str(",\"estimate\":{\"down_probability\":");
-        push_f64(&mut out, self.estimate.down_probability().value());
-        out.push_str(",\"failover_time\":");
-        match self.estimate.failover_time() {
-            Some(minutes) => push_f64(&mut out, minutes.value()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"failures_per_year\":");
-        push_f64(&mut out, self.estimate.failures_per_year().value());
-        out.push_str(",\"node_years\":");
-        push_f64(&mut out, self.estimate.node_years());
-        let Some(kind) = kind_variant(self.kind) else {
-            // A variant this encoder predates: take the slow generic
-            // path rather than guess at its serialized name.
-            return serde_json::to_string(self).expect("journal entry serializes");
-        };
-        out.push_str("},\"kind\":\"");
-        out.push_str(kind);
-        out.push_str("\",\"record\":{\"down_probability\":");
-        push_f64(&mut out, self.record.down_probability().value());
-        out.push_str(",\"failures_per_year\":");
-        push_f64(&mut out, self.record.failures_per_year().value());
-        out.push_str(",\"node_years_observed\":");
-        push_f64(&mut out, self.record.node_years_observed());
-        let _ = write!(out, "}},\"schema_version\":{}}}", self.schema_version);
-        out
-    }
-}
-
-/// The serde variant name for `kind` (not the kebab-case `label()`), or
-/// `None` for a variant added after this encoder (`ComponentKind` is
-/// non-exhaustive).
-fn kind_variant(kind: ComponentKind) -> Option<&'static str> {
-    Some(match kind {
-        ComponentKind::Compute => "Compute",
-        ComponentKind::Storage => "Storage",
-        ComponentKind::NetworkGateway => "NetworkGateway",
-        ComponentKind::Database => "Database",
-        ComponentKind::LoadBalancer => "LoadBalancer",
-        ComponentKind::Cache => "Cache",
-        _ => return None,
-    })
-}
-
-/// Appends `v` formatted as the generic serializer formats JSON numbers:
-/// shortest-round-trip for finite values, `null` otherwise.
-fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Appends `s` as a JSON string literal with the same escapes the
-/// generic serializer emits.
-fn push_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// The snapshot payload: everything `BrokerService` needs to come back
 /// without replaying the whole journal. Provider registrations are *not*
 /// here — providers are live objects re-registered at startup; breaker
@@ -284,96 +189,5 @@ impl std::fmt::Debug for DurabilityState {
         f.debug_struct("DurabilityState")
             .field("snapshot_every", &self.snapshot_every)
             .finish_non_exhaustive()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use uptime_core::{FailuresPerYear, Minutes, Probability};
-
-    use super::*;
-
-    fn entry(
-        cloud: &str,
-        kind: ComponentKind,
-        p: f64,
-        f: f64,
-        failover: Option<f64>,
-        node_years: f64,
-    ) -> JournalEntry {
-        JournalEntry {
-            schema_version: JOURNAL_SCHEMA_VERSION,
-            cloud: CloudId::new(cloud),
-            kind,
-            epoch_after: 18_446_744_073_709_551_615,
-            estimate: EstimatedParameters::from_parts(
-                Probability::saturating(p),
-                FailuresPerYear::new(f).unwrap(),
-                failover.map(|m| Minutes::new(m).unwrap()),
-                node_years,
-            ),
-            record: ReliabilityRecord::new(
-                Probability::saturating(p / 2.0),
-                FailuresPerYear::new(f * 3.0).unwrap(),
-                node_years * 7.0,
-            ),
-        }
-    }
-
-    /// The fast absorb-path encoder must emit byte-identical JSON to the
-    /// generic serializer — recovery deserializes with the latter, and
-    /// bit-identity of replay rests on exact round-trips.
-    #[test]
-    fn encode_matches_generic_serializer() {
-        let cases = [
-            entry("aws", ComponentKind::Compute, 0.1 + 0.2, 1.5, None, 100.0),
-            entry(
-                "cl\"oud\\with\nweird\tchars\u{01}",
-                ComponentKind::NetworkGateway,
-                1.0,
-                0.0,
-                Some(12.75),
-                0.0,
-            ),
-            entry(
-                "g",
-                ComponentKind::Storage,
-                1e-300,
-                8_000_000.0,
-                Some(0.1),
-                1e15,
-            ),
-            entry(
-                "az",
-                ComponentKind::Database,
-                0.333_333_333_333_333_3,
-                2.0,
-                None,
-                41.7,
-            ),
-            entry(
-                "x",
-                ComponentKind::LoadBalancer,
-                0.0,
-                123.456_789,
-                Some(5.0),
-                9.9,
-            ),
-            entry(
-                "y",
-                ComponentKind::Cache,
-                0.999_999_999_999,
-                0.001,
-                None,
-                0.25,
-            ),
-        ];
-        for case in cases {
-            let fast = case.to_json();
-            let generic = serde_json::to_string(&case).unwrap();
-            assert_eq!(fast, generic, "fast encoder drifted from serde");
-            let back: JournalEntry = serde_json::from_str(&fast).unwrap();
-            assert_eq!(back, case, "round-trip not lossless");
-        }
     }
 }

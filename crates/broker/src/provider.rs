@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use uptime_catalog::{CloudId, ComponentKind};
+use uptime_catalog::{CatalogStore, CloudId, ComponentKind};
 use uptime_core::{ClusterSpec, FailuresPerYear, Probability, SystemSpec};
 use uptime_sim::{SimConfig, SimDuration, Simulation, Trace};
 
@@ -136,6 +136,34 @@ impl SimulatedProvider {
     #[must_use]
     pub fn ground_truth(&self, kind: ComponentKind) -> Option<GroundTruth> {
         self.ground_truth.get(&kind).copied()
+    }
+
+    /// One clean provider per cloud of `store`, in catalog order, each
+    /// paired with the component kinds its cloud observes. Every observed
+    /// kind's reliability record is its ground truth, so the telemetry
+    /// these providers emit is always plausible to the catalog. Wrap a
+    /// provider in a `ChaosProvider` to make it misbehave.
+    #[must_use]
+    pub fn for_catalog(store: &CatalogStore) -> Vec<(SimulatedProvider, Vec<ComponentKind>)> {
+        store
+            .cloud_ids()
+            .map(|id| {
+                let profile = store.cloud(id).expect("listed id resolves");
+                let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
+                let kinds: Vec<ComponentKind> = profile.observed_components().collect();
+                for &kind in &kinds {
+                    let record = profile.reliability(kind).expect("observed");
+                    provider = provider.with_ground_truth(
+                        kind,
+                        GroundTruth {
+                            down_probability: record.down_probability(),
+                            failures_per_year: record.failures_per_year(),
+                        },
+                    );
+                }
+                (provider, kinds)
+            })
+            .collect()
     }
 }
 

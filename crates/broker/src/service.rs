@@ -1263,7 +1263,7 @@ impl BrokerService {
         durability: &DurabilityState,
         entry: &JournalEntry,
     ) -> Result<(), String> {
-        let payload = entry.to_json();
+        let payload = serde_json::to_string(entry).map_err(|e| format!("encode: {e}"))?;
         let mut inner = durability.inner.lock();
         inner
             .journal

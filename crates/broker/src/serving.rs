@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use serde::Value;
+use serde::{Serialize, Value};
 use uptime_catalog::{CloudId, ComponentKind};
 use uptime_core::{PenaltyClause, RoundingPolicy};
 use uptime_serve::{BackendError, ServeBackend};
@@ -218,7 +218,7 @@ impl ServingBroker {
 
     /// Shares the daemon's flight recorder so `health` can report ring
     /// occupancy alongside broker health. (Broker spans attach to the
-    /// request trace through [`ServeBackend::handle_traced`] regardless;
+    /// request trace through [`ServeBackend::render_traced`] regardless;
     /// this only feeds the health payload.)
     #[must_use]
     pub fn with_flight_recorder(mut self, recorder: Arc<uptime_obs::FlightRecorder>) -> Self {
@@ -309,6 +309,47 @@ impl ServingBroker {
             "rejected": rejected,
         }))
     }
+
+    /// Routes one request to its endpoint and hands the typed answer to
+    /// `emit`, which turns it into a [`Value`] or prints it: the one
+    /// endpoint table behind both [`ServeBackend`] methods.
+    fn answer<R>(
+        &self,
+        endpoint: &str,
+        body: &Value,
+        parent: &uptime_obs::TraceSpan,
+        emit: impl FnOnce(&dyn Serialize) -> R,
+    ) -> Result<R, BackendError> {
+        Ok(match endpoint {
+            "recommend" => {
+                let request = Self::parse_request(body)?;
+                let recommendation = self
+                    .service
+                    .recommend_traced(&request, parent)
+                    .map_err(|e| classify(&e))?;
+                emit(&recommendation)
+            }
+            "metacloud" => {
+                let request = Self::parse_request(body)?;
+                let recommendation = self
+                    .service
+                    .recommend_metacloud_traced(&request, parent)
+                    .map_err(|e| classify(&e))?;
+                emit(&recommendation)
+            }
+            "frontier" => {
+                let request = Self::parse_frontier(body)?;
+                let report = self
+                    .service
+                    .solve_slo_traced(&request, parent)
+                    .map_err(|e| classify(&e))?;
+                emit(&report)
+            }
+            "health" => emit(&self.health_body()),
+            "sync" => emit(&self.sync_body(body, parent)?),
+            other => return Err(BackendError::UnknownEndpoint(other.to_owned())),
+        })
+    }
 }
 
 /// Maps domain failures onto wire error classes: request-shaped problems
@@ -345,44 +386,25 @@ impl ServeBackend for ServingBroker {
     }
 
     fn handle(&self, endpoint: &str, body: &Value) -> Result<Value, BackendError> {
-        self.handle_traced(endpoint, body, &uptime_obs::TraceSpan::disabled())
+        self.answer(
+            endpoint,
+            body,
+            &uptime_obs::TraceSpan::disabled(),
+            |answer| answer.to_value(),
+        )
     }
 
-    fn handle_traced(
+    fn render_traced(
         &self,
         endpoint: &str,
         body: &Value,
         parent: &uptime_obs::TraceSpan,
-    ) -> Result<Value, BackendError> {
-        match endpoint {
-            "recommend" => {
-                let request = Self::parse_request(body)?;
-                let recommendation = self
-                    .service
-                    .recommend_traced(&request, parent)
-                    .map_err(|e| classify(&e))?;
-                Ok(serde_json::to_value(&recommendation))
-            }
-            "metacloud" => {
-                let request = Self::parse_request(body)?;
-                let recommendation = self
-                    .service
-                    .recommend_metacloud_traced(&request, parent)
-                    .map_err(|e| classify(&e))?;
-                Ok(serde_json::to_value(&recommendation))
-            }
-            "frontier" => {
-                let request = Self::parse_frontier(body)?;
-                let report = self
-                    .service
-                    .solve_slo_traced(&request, parent)
-                    .map_err(|e| classify(&e))?;
-                Ok(serde_json::to_value(&report))
-            }
-            "health" => Ok(self.health_body()),
-            "sync" => self.sync_body(body, parent),
-            other => Err(BackendError::UnknownEndpoint(other.to_owned())),
-        }
+    ) -> Result<String, BackendError> {
+        self.answer(endpoint, body, parent, |answer| {
+            let _render = parent.child("broker.render");
+            serde_json::to_string(answer)
+        })?
+        .map_err(|err| BackendError::Internal(format!("unserializable body: {err}")))
     }
 }
 

@@ -243,9 +243,31 @@ fn health_rejects_bad_seed() {
         .args(["health", "nonsense"])
         .output()
         .expect("binary runs");
-    assert_eq!(output.status.code(), Some(1));
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
     let err = String::from_utf8(output.stderr).unwrap();
-    assert!(err.contains("brokerctl:"), "{err}");
+    assert!(err.contains("`SEED`"), "{err}");
+}
+
+#[test]
+fn malformed_or_missing_numbers_exit_2_and_name_the_argument() {
+    for (args, name) in [
+        (&["sweep", "90", "99", "x"][..], "STEPS"),
+        (&["sweep", "ninety", "99", "5"], "FROM"),
+        (&["sweep", "90", "99"], "STEPS"),
+        (&["settle", "3x"], "MONTHS"),
+        (&["settle"], "MONTHS"),
+        (&["settle", "3", "x"], "SEED"),
+        (&["health", "--chaos", "x"], "SEED"),
+        (&["obs", "x"], "SEED"),
+        // `serve` refuses a bad seed before it binds.
+        (&["serve", "--chaos", "x"], "SEED"),
+    ] {
+        let output = brokerctl().args(args).output().expect("binary runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "{args:?}: {output:?}");
+        let err = String::from_utf8(output.stderr).unwrap();
+        assert!(err.contains(&format!("`{name}`")), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -20,7 +20,8 @@ use std::time::Duration;
 
 use serde::Value;
 use uptime_broker::{
-    BrokerService, DurabilityConfig, GroundTruth, ServingBroker, SimulatedProvider, SolutionRequest,
+    BrokerService, CloudProvider, DurabilityConfig, ServingBroker, SimulatedProvider,
+    SolutionRequest,
 };
 use uptime_catalog::{case_study, CatalogStore, CloudId, ComponentKind};
 use uptime_durability::{decode_all, DiskChaos, StateDir};
@@ -56,23 +57,9 @@ fn register_providers(
     store: &CatalogStore,
 ) -> Vec<(CloudId, Vec<ComponentKind>)> {
     let mut targets = Vec::new();
-    for id in store.cloud_ids() {
-        let profile = store.cloud(id).expect("listed id resolves");
-        let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
-        let mut kinds = Vec::new();
-        for kind in profile.observed_components() {
-            let record = profile.reliability(kind).expect("observed");
-            provider = provider.with_ground_truth(
-                kind,
-                GroundTruth {
-                    down_probability: record.down_probability(),
-                    failures_per_year: record.failures_per_year(),
-                },
-            );
-            kinds.push(kind);
-        }
+    for (provider, kinds) in SimulatedProvider::for_catalog(store) {
+        targets.push((provider.id().clone(), kinds));
         broker.register_provider(Box::new(provider));
-        targets.push((id.clone(), kinds));
     }
     targets
 }

@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 use serde_json::Value;
 use uptime_broker::{
-    BrokerService, ChaosConfig, ChaosProvider, GroundTruth, ServingBroker, SimulatedProvider,
+    BrokerService, ChaosConfig, ChaosProvider, CloudProvider, ServingBroker, SimulatedProvider,
     SolutionRequest,
 };
-use uptime_catalog::{case_study, CloudId, ComponentKind};
+use uptime_catalog::{case_study, ComponentKind};
 use uptime_obs::{FlightRecorder, MetricsRegistry, TraceConfig};
 use uptime_serve::{RequestFrame, ResponseFrame, Server, ServerConfig, ServerHandle};
 
@@ -31,27 +31,13 @@ const HARVEST_DELAY_MS: u64 = 20;
 fn start_daemon() -> (ServerHandle, Arc<FlightRecorder>) {
     let store = case_study::catalog();
     let broker = Arc::new(BrokerService::new(store.clone()));
-    let mut targets: Vec<(CloudId, Vec<ComponentKind>)> = Vec::new();
-    for id in store.cloud_ids() {
-        let profile = store.cloud(id).expect("listed id resolves");
-        let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
-        let mut kinds = Vec::new();
-        for kind in profile.observed_components() {
-            let record = profile.reliability(kind).expect("observed");
-            provider = provider.with_ground_truth(
-                kind,
-                GroundTruth {
-                    down_probability: record.down_probability(),
-                    failures_per_year: record.failures_per_year(),
-                },
-            );
-            kinds.push(kind);
-        }
+    let mut targets = Vec::new();
+    for (provider, kinds) in SimulatedProvider::for_catalog(&store) {
+        targets.push((provider.id().clone(), kinds));
         broker.register_provider(Box::new(ChaosProvider::new(
             provider,
             ChaosConfig::quiet(7).with_harvest_delay_ms(HARVEST_DELAY_MS),
         )));
-        targets.push((id.clone(), kinds));
     }
 
     let trace = TraceConfig::default();
@@ -206,6 +192,7 @@ fn cold_recommend_trace_reaches_the_optimizer() {
         "serve.execute",
         "broker.recommend",
         "optimizer.exhaustive.search",
+        "broker.render",
     ] {
         assert!(names.contains(&expected), "missing {expected} in {names:?}");
     }

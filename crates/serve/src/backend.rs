@@ -85,23 +85,30 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// Returns a [`BackendError`] classifying the failure.
     fn handle(&self, endpoint: &str, body: &Value) -> Result<Value, BackendError>;
 
-    /// [`Self::handle`] under a request trace: backends that want their
-    /// own stage spans in the flight recorder override this and hang
-    /// children below `parent`. The default ignores the span — a backend
-    /// without trace plumbing serves identically, it just contributes no
-    /// sub-spans. The answer must be byte-identical to [`Self::handle`]:
-    /// traces attribute time, they never change results.
+    /// [`Self::handle`] under a request trace, rendered to the compact JSON
+    /// text the daemon sends and caches. The daemon calls this once per
+    /// executed request; hits and coalesced followers reuse its text.
+    ///
+    /// Backends that want their own stage spans in the flight recorder
+    /// override this and hang children below `parent`; a backend that
+    /// holds typed answers can also print them directly rather than
+    /// through a [`Value`]. The default ignores the span and prints
+    /// [`Self::handle`]'s value. Either way the text must be exactly
+    /// `serde_json::to_string(&self.handle(endpoint, body)?)`: traces
+    /// attribute time, they never change results.
     ///
     /// # Errors
     ///
     /// Same as [`Self::handle`].
-    fn handle_traced(
+    fn render_traced(
         &self,
         endpoint: &str,
         body: &Value,
         parent: &uptime_obs::TraceSpan,
-    ) -> Result<Value, BackendError> {
+    ) -> Result<String, BackendError> {
         let _ = parent;
-        self.handle(endpoint, body)
+        let value = self.handle(endpoint, body)?;
+        serde_json::to_string(&value)
+            .map_err(|err| BackendError::Internal(format!("unserializable body: {err}")))
     }
 }

@@ -52,7 +52,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded admission-queue depth; beyond it requests are shed.
     pub queue_depth: usize,
-    /// Maximum cached responses (FIFO eviction).
+    /// Maximum cached responses (FIFO eviction). The cache also holds at
+    /// most [`crate::cache::MAX_BYTES`] of response bodies.
     pub cache_capacity: usize,
     /// Idle-connection read timeout in milliseconds; a connection that
     /// sends nothing for this long is dropped (`0` disables the timeout).
@@ -477,8 +478,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// Executes the backend under panic isolation, capturing the epoch the
 /// computation started under (the epoch the cache entry is keyed by).
-/// The body is rendered to its canonical JSON text exactly once here;
-/// cache hits and coalesced followers reuse the rendered bytes.
+/// The backend renders the body to its canonical JSON text once; cache
+/// hits and coalesced followers reuse that text.
 fn execute(
     shared: &Shared,
     endpoint: &str,
@@ -487,18 +488,10 @@ fn execute(
 ) -> Result<(Arc<str>, u64), BackendError> {
     let epoch_before = shared.backend.epoch();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.backend.handle_traced(endpoint, body, parent)
+        shared.backend.render_traced(endpoint, body, parent)
     }));
     match outcome {
-        Ok(Ok(value)) => {
-            let _render_span = parent.child("serve.render");
-            match serde_json::to_string(&value) {
-                Ok(text) => Ok((Arc::from(text), epoch_before)),
-                Err(err) => Err(BackendError::Internal(format!(
-                    "unserializable body: {err}"
-                ))),
-            }
-        }
+        Ok(Ok(text)) => Ok((Arc::from(text), epoch_before)),
         Ok(Err(err)) => Err(err),
         Err(_) => Err(BackendError::Internal("backend panicked".into())),
     }

@@ -19,8 +19,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use uptime_broker::{BrokerService, GroundTruth, ServingBroker, SimulatedProvider};
-use uptime_catalog::{case_study, CloudId, ComponentKind};
+use uptime_broker::{BrokerService, CloudProvider, ServingBroker, SimulatedProvider};
+use uptime_catalog::{case_study, ComponentKind};
 use uptime_obs::MetricsRegistry;
 use uptime_serve::{
     code, BackendError, RequestFrame, ResponseFrame, ServeBackend, Server, ServerConfig,
@@ -37,24 +37,10 @@ use uptime_serve::{
 fn backend() -> ServingBroker {
     let store = case_study::catalog();
     let broker = Arc::new(BrokerService::new(store.clone()));
-    let mut targets: Vec<(CloudId, Vec<ComponentKind>)> = Vec::new();
-    for id in store.cloud_ids() {
-        let profile = store.cloud(id).expect("listed id resolves");
-        let mut provider = SimulatedProvider::new(id.clone(), profile.display_name());
-        let mut kinds = Vec::new();
-        for kind in profile.observed_components() {
-            let record = profile.reliability(kind).expect("observed");
-            provider = provider.with_ground_truth(
-                kind,
-                GroundTruth {
-                    down_probability: record.down_probability(),
-                    failures_per_year: record.failures_per_year(),
-                },
-            );
-            kinds.push(kind);
-        }
+    let mut targets = Vec::new();
+    for (provider, kinds) in SimulatedProvider::for_catalog(&store) {
+        targets.push((provider.id().clone(), kinds));
         broker.register_provider(Box::new(provider));
-        targets.push((id.clone(), kinds));
     }
     ServingBroker::new(broker).with_sync_targets(targets)
 }
@@ -595,23 +581,34 @@ fn explain_returns_span_breakdown_and_leaves_answer_untouched() {
         .collect();
     assert!(names.contains(&"serve.request"), "{names:?}");
     assert!(names.contains(&"serve.cache.lookup"), "{names:?}");
-    // The second identical request is a cache hit: no execute span.
+    // The second identical request is a cache hit: it neither executes
+    // nor renders.
     assert!(!names.contains(&"serve.execute"), "{names:?}");
+    assert!(!names.contains(&"broker.render"), "{names:?}");
 
     // A cold request's explain attributes time to the execute stage and
-    // reaches down into the broker and optimizer.
-    let cold = client.call(&recommend_frame(3, 97.25).with_explain(true));
-    let explain = cold.explain.expect("explain requested");
-    let spans = explain
-        .get("spans")
-        .and_then(Value::as_array)
-        .expect("spans");
-    let names: Vec<&str> = spans
-        .iter()
-        .filter_map(|s| s.get("name").and_then(Value::as_str))
-        .collect();
-    for expected in ["serve.execute", "broker.recommend"] {
-        assert!(names.contains(&expected), "missing {expected} in {names:?}");
+    // reaches down into the broker, which renders the answer once.
+    let span_names = |response: ResponseFrame| -> Vec<String> {
+        let explain = response.explain.expect("explain requested");
+        let spans = explain
+            .get("spans")
+            .and_then(Value::as_array)
+            .expect("spans");
+        spans
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Value::as_str).map(str::to_owned))
+            .collect()
+    };
+    let names = span_names(client.call(&recommend_frame(3, 97.25).with_explain(true)));
+    for expected in ["serve.execute", "broker.recommend", "broker.render"] {
+        assert!(
+            names.iter().any(|n| n == expected),
+            "missing {expected} in {names:?}"
+        );
+    }
+    let names = span_names(client.call(&recommend_frame(4, 97.25).with_explain(true)));
+    for absent in ["serve.execute", "broker.render"] {
+        assert!(!names.iter().any(|n| n == absent), "{absent} in {names:?}");
     }
 
     handle.shutdown();
