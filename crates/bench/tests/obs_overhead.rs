@@ -10,7 +10,7 @@ use std::time::Instant;
 use serde_json::Value;
 use uptime_broker::{BrokerService, ServingBroker, SolutionRequest};
 use uptime_catalog::{case_study, ComponentKind};
-use uptime_obs::{FlightRecorder, MetricsRegistry, TraceConfig};
+use uptime_obs::{MetricsRegistry, TraceConfig};
 use uptime_serve::{RequestFrame, Server, ServerConfig, ServerHandle};
 
 /// Closed-loop client connections per daemon, as many as the daemon
@@ -35,22 +35,17 @@ const MIN_HIT_RATIO: f64 = 0.5;
 
 /// A daemon over the case-study catalog with `ServerConfig`'s defaults,
 /// wired as `brokerctl serve` wires it: the broker and the server share
-/// one registry, and a traced daemon shares its flight recorder with the
-/// backend.
+/// one registry, and a traced daemon builds its own flight recorder.
 fn start_daemon(traced: bool) -> ServerHandle {
     let registry = Arc::new(MetricsRegistry::new());
     let broker =
         BrokerService::new(case_study::catalog()).with_recorder(Arc::clone(&registry) as _);
-    let mut backend = ServingBroker::new(Arc::new(broker));
+    let backend = ServingBroker::new(Arc::new(broker));
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         ..ServerConfig::default()
     };
-    if traced {
-        let recorder = Arc::new(FlightRecorder::new(config.trace));
-        config.flight_recorder = Some(Arc::clone(&recorder));
-        backend = backend.with_flight_recorder(recorder);
-    } else {
+    if !traced {
         config.trace = TraceConfig::disabled();
     }
     Server::start(Arc::new(backend), config, registry).expect("daemon binds")

@@ -30,7 +30,7 @@
 //! brokerctl serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
 //!                 [--state-dir DIR] [--fsync os|always|every:N] [--snapshot-every N]
 //!                 [--no-trace] [--trace-capacity N] [--trace-slow-ms MS]
-//!                 [--trace-sample N] [--stdin]
+//!                 [--trace-sample N]
 //!     Run the long-lived serving daemon: newline-delimited JSON frames
 //!     over TCP, answered through a telemetry-epoch-keyed response cache,
 //!     single-flight coalescing, and a backpressured worker pool that
@@ -40,9 +40,7 @@
 //!     endpoint; `"explain": true` on a request frame returns an inline
 //!     per-stage breakdown. With --state-dir the broker recovers its
 //!     pre-crash state on startup and journals every accepted telemetry
-//!     batch before absorbing it. With --stdin, the legacy loop: one
-//!     SolutionRequest JSON per stdin line, one JSON response per line
-//!     ({"ok": ...} or {"error": ...}).
+//!     batch before absorbing it.
 //!
 //! brokerctl trace [--addr HOST:PORT] [--slowest N] [--errors] [--json|--chrome]
 //!     Pull traces from a running daemon's flight recorder: span trees
@@ -347,7 +345,6 @@ fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
             "--trace-capacity",
             "--trace-slow-ms",
             "--trace-sample",
-            "--stdin",
         ],
         "trace" => &["--addr", "--slowest", "--errors", "--json", "--chrome"],
         "health" => &["--hybrid", "--json", "--chaos"],
@@ -412,7 +409,7 @@ Commands:
   serve [--hybrid] [--addr HOST:PORT] [--workers N] [--queue N] [--chaos SEED]
         [--state-dir DIR] [--fsync os|always|every:N]
         [--snapshot-every N] [--no-trace] [--trace-capacity N]
-        [--trace-slow-ms MS] [--trace-sample N] [--stdin]
+        [--trace-slow-ms MS] [--trace-sample N]
       Long-lived serving daemon (default 127.0.0.1:7411): one JSON frame
       per line over TCP with fields id, endpoint and body; endpoints are
       recommend, frontier, metacloud, health, sync, ping, stats, traces
@@ -427,8 +424,7 @@ Commands:
       --trace-sample keeps one in N ok-fast traces (default 1). With
       --state-dir DIR the broker recovers pre-crash state at startup and
       write-ahead-journals every accepted telemetry batch (crash-only:
-      kill -9 and restart resumes bit-identically). With --stdin: one
-      SolutionRequest JSON per stdin line, one JSON response per line.
+      kill -9 and restart resumes bit-identically).
   trace [--addr HOST:PORT] [--slowest N] [--errors] [--json|--chrome]
       Pull traces from a running daemon's flight recorder and render
       span trees with per-stage durations and attributes. --slowest N
@@ -696,10 +692,9 @@ fn sweep_command(hybrid: bool, positional: &[&str]) -> Result<(), Box<dyn std::e
     Ok(())
 }
 
-/// `brokerctl serve`: the long-lived daemon (default), or with `--stdin`
-/// the legacy one-request-per-line stdin loop.
+/// `brokerctl serve`: the long-lived daemon.
 ///
-/// Daemon mode builds the catalog once, registers simulated providers
+/// It builds the catalog once, registers simulated providers
 /// (chaotic when `--chaos SEED` is given), and serves newline-delimited
 /// JSON frames over TCP through `uptime-serve`'s cache, single-flight
 /// coalescing, and backpressured worker pool. Shut it down with a
@@ -710,9 +705,6 @@ fn serve_command(
     values: &BTreeMap<&str, &str>,
     seed_arg: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    if flags.contains(&"--stdin") {
-        return serve_stdin(hybrid);
-    }
     let chaos = flags.contains(&"--chaos");
     let seed = seed(seed_arg);
     let mut config = ServerConfig::default();
@@ -747,14 +739,7 @@ fn serve_command(
     }
     let broker = Arc::new(service);
     let targets = register_simulated_providers(&broker, &store, chaos, seed);
-    let mut backend = ServingBroker::new(broker).with_sync_targets(targets);
-    if config.trace.enabled {
-        // One recorder shared between the server (which begins traces)
-        // and the backend (which reports occupancy in `health`).
-        let recorder = Arc::new(uptime_obs::FlightRecorder::new(config.trace));
-        config.flight_recorder = Some(Arc::clone(&recorder));
-        backend = backend.with_flight_recorder(recorder);
-    }
+    let backend = ServingBroker::new(broker).with_sync_targets(targets);
     let workers = config.workers;
     let queue = config.queue_depth;
     let handle = Server::start(Arc::new(backend), config, registry)?;
@@ -771,35 +756,6 @@ fn serve_command(
     );
     handle.join();
     println!("uptime-serve drained and stopped");
-    Ok(())
-}
-
-/// The legacy service loop: one JSON request per line in, one JSON
-/// response per line out. A malformed or failing request produces an
-/// `{"error": ...}` line and the loop continues — one bad client call
-/// must not take the broker down.
-fn serve_stdin(hybrid: bool) -> Result<(), Box<dyn std::error::Error>> {
-    use std::io::{BufRead, Write};
-    let broker = BrokerService::new(catalog(hybrid));
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match serde_json::from_str::<SolutionRequest>(&line) {
-            Ok(request) => match broker.recommend(&request) {
-                Ok(recommendation) => serde_json::json!({ "ok": recommendation }),
-                Err(err) => serde_json::json!({ "error": err.to_string() }),
-            },
-            Err(err) => serde_json::json!({ "error": format!("bad request: {err}") }),
-        };
-        serde_json::to_writer(&mut out, &response)?;
-        out.write_all(b"\n")?;
-        out.flush()?;
-    }
     Ok(())
 }
 
@@ -834,10 +790,6 @@ fn metacloud_command() -> Result<(), Box<dyn std::error::Error>> {
     }
     Ok(())
 }
-
-/// Version of `health --json`'s payload shape (shared with the daemon's
-/// `health` endpoint via [`uptime_broker::HEALTH_SCHEMA_VERSION`]).
-const HEALTH_SCHEMA_VERSION: u32 = uptime_broker::HEALTH_SCHEMA_VERSION;
 
 /// How many telemetry sync rounds `health` and `obs` drive.
 const SYNC_ROUNDS: u64 = 6;
@@ -900,14 +852,9 @@ fn health_command(
     drive_sync_rounds(&broker, &components, seed);
 
     let health = broker.health();
-    let incidents = broker.incidents();
     if json {
-        let payload = serde_json::json!({
-            "schema_version": HEALTH_SCHEMA_VERSION,
-            "health": health,
-            "incidents": incidents,
-        });
-        println!("{}", serde_json::to_string_pretty(&payload)?);
+        let document = uptime_broker::health_document(&broker);
+        println!("{}", serde_json::to_string_pretty(&document)?);
         return Ok(health.degraded);
     }
 
@@ -933,6 +880,7 @@ fn health_command(
         health.quarantined_batches,
         if health.degraded { "yes" } else { "no" }
     );
+    let incidents = broker.incidents();
     if !incidents.is_empty() {
         println!("\nIncident log:");
         for i in &incidents {
@@ -1058,7 +1006,7 @@ fn obs_command(
         if prom {
             print!("{}", uptime_obs::export::to_prometheus(&snapshot));
         } else {
-            println!("{}", uptime_obs::export::to_json(&snapshot));
+            println!("{}", serde_json::to_string_pretty(&snapshot)?);
         }
         return Ok(());
     };

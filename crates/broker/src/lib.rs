@@ -93,7 +93,8 @@ pub use service::{
     DEFAULT_INCIDENT_CAPACITY,
 };
 pub use serving::{
-    canonical_fingerprint, frontier_fingerprint, ServingBroker, HEALTH_SCHEMA_VERSION,
+    canonical_fingerprint, frontier_fingerprint, health_document, ServingBroker,
+    HEALTH_SCHEMA_VERSION,
 };
 pub use settlement::{settle, MonthlyStatement, SettlementReport};
 pub use slo::{

@@ -31,6 +31,19 @@ use crate::slo::FrontierRequest;
 /// layout changes.
 pub const HEALTH_SCHEMA_VERSION: u32 = 1;
 
+/// The health document `{schema_version, epoch, health, incidents}`
+/// (`schemas/health.schema.json`): the daemon's `health` endpoint body
+/// and `brokerctl health --json`.
+#[must_use]
+pub fn health_document(service: &BrokerService) -> Value {
+    serde_json::json!({
+        "schema_version": HEALTH_SCHEMA_VERSION,
+        "epoch": service.telemetry_epoch(),
+        "health": service.health(),
+        "incidents": service.incidents(),
+    })
+}
+
 /// 128-bit FNV-1a, the canonical-byte hasher behind request fingerprints.
 struct Fnv128 {
     state: u128,
@@ -193,7 +206,6 @@ pub fn frontier_fingerprint(request: &FrontierRequest) -> u128 {
 pub struct ServingBroker {
     service: Arc<BrokerService>,
     sync_targets: Vec<(CloudId, Vec<ComponentKind>)>,
-    flight_recorder: Option<Arc<uptime_obs::FlightRecorder>>,
 }
 
 impl ServingBroker {
@@ -204,7 +216,6 @@ impl ServingBroker {
         ServingBroker {
             service,
             sync_targets: Vec::new(),
-            flight_recorder: None,
         }
     }
 
@@ -213,16 +224,6 @@ impl ServingBroker {
     #[must_use]
     pub fn with_sync_targets(mut self, targets: Vec<(CloudId, Vec<ComponentKind>)>) -> Self {
         self.sync_targets = targets;
-        self
-    }
-
-    /// Shares the daemon's flight recorder so `health` can report ring
-    /// occupancy alongside broker health. (Broker spans attach to the
-    /// request trace through [`ServeBackend::render_traced`] regardless;
-    /// this only feeds the health payload.)
-    #[must_use]
-    pub fn with_flight_recorder(mut self, recorder: Arc<uptime_obs::FlightRecorder>) -> Self {
-        self.flight_recorder = Some(recorder);
         self
     }
 
@@ -238,41 +239,6 @@ impl ServingBroker {
 
     fn parse_frontier(body: &Value) -> Result<FrontierRequest, BackendError> {
         serde_json::from_value(body).map_err(|err| BackendError::BadRequest(err.to_string()))
-    }
-
-    fn health_body(&self) -> Value {
-        let trace = match &self.flight_recorder {
-            Some(recorder) => {
-                let stats = recorder.stats();
-                serde_json::json!({
-                    "enabled": true,
-                    "capacity": stats.capacity,
-                    "occupancy": stats.occupancy,
-                    "completed": stats.completed,
-                    "recorded": stats.recorded,
-                    "sampled_out": stats.sampled_out,
-                    "evicted": stats.evicted,
-                    "unwound": stats.unwound,
-                })
-            }
-            None => serde_json::json!({
-                "enabled": false,
-                "capacity": 0,
-                "occupancy": 0,
-                "completed": 0,
-                "recorded": 0,
-                "sampled_out": 0,
-                "evicted": 0,
-                "unwound": 0,
-            }),
-        };
-        serde_json::json!({
-            "schema_version": HEALTH_SCHEMA_VERSION,
-            "epoch": self.service.telemetry_epoch(),
-            "health": self.service.health(),
-            "incidents": self.service.incidents(),
-            "trace": trace,
-        })
     }
 
     fn sync_body(
@@ -345,7 +311,7 @@ impl ServingBroker {
                     .map_err(|e| classify(&e))?;
                 emit(&report)
             }
-            "health" => emit(&self.health_body()),
+            "health" => emit(&health_document(&self.service)),
             "sync" => emit(&self.sync_body(body, parent)?),
             other => return Err(BackendError::UnknownEndpoint(other.to_owned())),
         })

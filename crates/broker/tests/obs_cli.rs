@@ -1,10 +1,9 @@
 //! End-to-end checks of the `brokerctl obs` exporter: the JSON form must
 //! validate against the checked-in `schemas/obs_snapshot.schema.json`,
 //! and the Prometheus form must follow the text exposition format.
-//!
-//! The validator below implements the subset of JSON Schema the checked-in
-//! schema uses (`type`, `required`, `properties`, `additionalProperties`,
-//! `items`, `const`) so the contract is enforced without a schema crate.
+//! `brokerctl health --json` must validate against
+//! `schemas/health.schema.json`. Both go through
+//! `uptime_serve::schema`, the validator the daemon's frames use.
 
 use std::process::Command;
 
@@ -25,87 +24,16 @@ fn get<'a>(value: &'a Value, key: &str) -> &'a Value {
         .unwrap_or_else(|| panic!("missing key `{key}` in {value}"))
 }
 
-fn schema() -> Value {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../schemas/obs_snapshot.schema.json"
-    );
+/// A checked-in schema from `schemas/`.
+fn schema(name: &str) -> Value {
+    let path = format!("{}/../../schemas/{name}", env!("CARGO_MANIFEST_DIR"));
     serde_json::from_str(&std::fs::read_to_string(path).expect("schema file readable"))
         .expect("schema file is valid JSON")
 }
 
-/// Validates `value` against the subset of JSON Schema used by
-/// `obs_snapshot.schema.json`, pushing a message per violation.
-fn validate(value: &Value, schema: &Value, path: &str, errors: &mut Vec<String>) {
-    let Some(schema) = schema.as_object() else {
-        return;
-    };
-    if let Some(ty) = schema.get("type") {
-        let allowed: Vec<&str> = match ty {
-            Value::String(s) => vec![s.as_str()],
-            Value::Array(options) => options.iter().filter_map(Value::as_str).collect(),
-            _ => Vec::new(),
-        };
-        let actual = match value {
-            Value::Null => "null",
-            Value::Bool(_) => "boolean",
-            Value::Number(n) => {
-                if n.as_i64().is_some() || n.as_u64().is_some() {
-                    "integer"
-                } else {
-                    "number"
-                }
-            }
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        };
-        // JSON Schema: every integer is also a number.
-        let matches = allowed
-            .iter()
-            .any(|t| *t == actual || (*t == "number" && actual == "integer"));
-        if !matches {
-            errors.push(format!("{path}: expected type {allowed:?}, got {actual}"));
-            return;
-        }
-    }
-    if let Some(expected) = schema.get("const") {
-        if value != expected {
-            errors.push(format!("{path}: expected const {expected}, got {value}"));
-        }
-    }
-    if let Some(object) = value.as_object() {
-        if let Some(required) = schema.get("required").and_then(Value::as_array) {
-            for key in required.iter().filter_map(Value::as_str) {
-                if !object.contains_key(key) {
-                    errors.push(format!("{path}: missing required property `{key}`"));
-                }
-            }
-        }
-        let properties = schema.get("properties").and_then(Value::as_object);
-        for (key, child) in object {
-            let child_path = format!("{path}.{key}");
-            if let Some(child_schema) = properties.and_then(|p| p.get(key)) {
-                validate(child, child_schema, &child_path, errors);
-            } else if let Some(extra) = schema.get("additionalProperties") {
-                validate(child, extra, &child_path, errors);
-            }
-        }
-    }
-    if let Some(array) = value.as_array() {
-        if let Some(items) = schema.get("items") {
-            for (i, child) in array.iter().enumerate() {
-                validate(child, items, &format!("{path}[{i}]"), errors);
-            }
-        }
-    }
-}
-
 fn assert_valid_snapshot(raw: &str) -> Value {
     let value: Value = serde_json::from_str(raw).expect("exporter output parses as JSON");
-    let mut errors = Vec::new();
-    validate(&value, &schema(), "$", &mut errors);
-    assert!(errors.is_empty(), "schema violations: {errors:#?}");
+    uptime_serve::schema::assert_valid(&value, &schema("obs_snapshot.schema.json"));
     value
 }
 
@@ -170,16 +98,7 @@ fn health_json_carries_schema_version() {
 
 #[test]
 fn health_json_validates_against_checked_in_schema() {
-    // The richer validator from `uptime_serve::schema` understands the
-    // `enum` and strict `additionalProperties: false` keywords this
-    // schema relies on.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../schemas/health.schema.json"
-    );
-    let health_schema: Value =
-        serde_json::from_str(&std::fs::read_to_string(path).expect("schema file readable"))
-            .expect("schema file is valid JSON");
+    let health_schema = schema("health.schema.json");
     for seed in ["2", "9"] {
         let output = brokerctl(&["health", "--json", "--chaos", seed]);
         let value: Value =

@@ -28,6 +28,8 @@ const HARVEST_DELAY_MS: u64 = 20;
 /// A daemon over the case-study catalog whose single provider sleeps a
 /// fixed [`HARVEST_DELAY_MS`] inside every telemetry harvest — otherwise
 /// chaos-free, so syncs succeed and the trace is about *time*, not faults.
+/// Returns the daemon with the flight recorder it built (tracing is on by
+/// default).
 fn start_daemon() -> (ServerHandle, Arc<FlightRecorder>) {
     let store = case_study::catalog();
     let broker = Arc::new(BrokerService::new(store.clone()));
@@ -40,23 +42,16 @@ fn start_daemon() -> (ServerHandle, Arc<FlightRecorder>) {
         )));
     }
 
-    let trace = TraceConfig::default();
-    let recorder = Arc::new(FlightRecorder::new(trace));
-    let backend = Arc::new(
-        ServingBroker::new(broker)
-            .with_sync_targets(targets)
-            .with_flight_recorder(Arc::clone(&recorder)),
-    );
+    let backend = Arc::new(ServingBroker::new(broker).with_sync_targets(targets));
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
         queue_depth: 32,
-        trace,
-        flight_recorder: Some(Arc::clone(&recorder)),
         ..ServerConfig::default()
     };
     let handle =
         Server::start(backend, config, Arc::new(MetricsRegistry::new())).expect("daemon binds");
+    let recorder = handle.flight_recorder().expect("tracing is on by default");
     (handle, recorder)
 }
 

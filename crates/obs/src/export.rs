@@ -1,16 +1,18 @@
-//! Snapshot exporters: JSON and Prometheus text exposition format.
-//!
-//! Both are hand-rolled over [`MetricsSnapshot`] so this crate stays
-//! dependency-free; metric names are workspace-controlled
-//! (`layer.subsystem.name`) and event details are escaped.
+//! The metrics snapshot's two documents: JSON, printed from the
+//! snapshot's [`Serialize`] impl (`schemas/obs_snapshot.schema.json`),
+//! and Prometheus text exposition format.
 
 use std::fmt::Write as _;
 
+use serde::{Serialize, Value};
+use serde_json::json;
+
 use crate::registry::{HistogramSnapshot, MetricsSnapshot};
 
-/// Renders the snapshot as a pretty-printed JSON document.
-///
-/// Shape (mirrored by `schemas/obs_snapshot.schema.json`):
+/// The JSON document `brokerctl obs --json` prints, mirrored by
+/// `schemas/obs_snapshot.schema.json`: counters, gauges and histograms
+/// as objects keyed by metric name, events oldest first. Non-finite
+/// floats print as `null`.
 ///
 /// ```json
 /// {
@@ -27,122 +29,52 @@ use crate::registry::{HistogramSnapshot, MetricsSnapshot};
 ///   "events": [ { "seq": 0, "name": "...", "detail": "..." } ]
 /// }
 /// ```
-#[must_use]
-pub fn to_json(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {},", snapshot.schema_version);
-
-    out.push_str("  \"counters\": {");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        push_sep(&mut out, i);
-        let _ = write!(out, "    {}: {value}", json_string(name));
+impl Serialize for MetricsSnapshot {
+    fn to_value(&self) -> Value {
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|h| (h.name.clone(), h.to_value()))
+            .collect();
+        json!({
+            "schema_version": self.schema_version,
+            "counters": keyed(&self.counters),
+            "gauges": keyed(&self.gauges),
+            "histograms": Value::Object(histograms),
+            "events": self.events,
+        })
     }
-    close_obj(&mut out, snapshot.counters.is_empty());
-
-    out.push_str("  \"gauges\": {");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        push_sep(&mut out, i);
-        let _ = write!(out, "    {}: {}", json_string(name), json_number(*value));
-    }
-    close_obj(&mut out, snapshot.gauges.is_empty());
-
-    out.push_str("  \"histograms\": {");
-    for (i, h) in snapshot.histograms.iter().enumerate() {
-        push_sep(&mut out, i);
-        let _ = write!(out, "    {}: {}", json_string(&h.name), histogram_json(h));
-    }
-    close_obj(&mut out, snapshot.histograms.is_empty());
-
-    out.push_str("  \"events\": [");
-    for (i, event) in snapshot.events.iter().enumerate() {
-        push_sep(&mut out, i);
-        let _ = write!(
-            out,
-            "    {{ \"seq\": {}, \"name\": {}, \"detail\": {} }}",
-            event.seq,
-            json_string(&event.name),
-            json_string(&event.detail)
-        );
-    }
-    if !snapshot.events.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
 }
 
-fn push_sep(out: &mut String, i: usize) {
-    if i > 0 {
-        out.push(',');
+/// One histogram without its name, which is its key in the snapshot.
+impl Serialize for HistogramSnapshot {
+    fn to_value(&self) -> Value {
+        let buckets: Vec<Value> = self
+            .buckets
+            .iter()
+            .map(|(le, count)| json!({ "le": le, "count": count }))
+            .collect();
+        json!({
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "p50": self.p50,
+            "p95": self.p95,
+            "p99": self.p99,
+            "buckets": buckets,
+        })
     }
-    out.push('\n');
 }
 
-fn close_obj(out: &mut String, empty: bool) {
-    if !empty {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-}
-
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    let mut buckets = String::from("[");
-    for (i, (le, count)) in h.buckets.iter().enumerate() {
-        if i > 0 {
-            buckets.push_str(", ");
-        }
-        let _ = write!(
-            buckets,
-            "{{ \"le\": {}, \"count\": {count} }}",
-            json_number(*le)
-        );
-    }
-    buckets.push(']');
-    format!(
-        "{{ \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-         \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": {} }}",
-        h.count,
-        json_number(h.sum),
-        json_number(h.min),
-        json_number(h.max),
-        json_number(h.p50),
-        json_number(h.p95),
-        json_number(h.p99),
-        buckets
+/// `(name, value)` pairs as an object keyed by name.
+fn keyed<T: Serialize>(members: &[(String, T)]) -> Value {
+    Value::Object(
+        members
+            .iter()
+            .map(|(name, value)| (name.clone(), value.to_value()))
+            .collect(),
     )
-}
-
-/// A finite f64 as a JSON number (always with a decimal point or exponent
-/// so consumers parse it as floating); non-finite values become `null`.
-pub(crate) fn json_number(value: f64) -> String {
-    if !value.is_finite() {
-        return "null".to_owned();
-    }
-    // f64's Debug form is shortest-roundtrip with a mandatory `.0` or
-    // exponent — exactly JSON's float shape.
-    format!("{value:?}")
-}
-
-/// A JSON string literal with the mandatory escapes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Renders the snapshot in Prometheus text exposition format (version
@@ -207,6 +139,7 @@ mod tests {
     use super::*;
     use crate::recorder::Recorder;
     use crate::registry::MetricsRegistry;
+    use crate::ring::EventRecord;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let r = MetricsRegistry::new();
@@ -218,9 +151,13 @@ mod tests {
         r.snapshot()
     }
 
+    fn pretty(snapshot: &MetricsSnapshot) -> String {
+        serde_json::to_string_pretty(snapshot).expect("snapshot serializes")
+    }
+
     #[test]
     fn json_has_all_sections_and_schema_version() {
-        let json = to_json(&sample_snapshot());
+        let json = pretty(&sample_snapshot());
         assert!(json.contains("\"schema_version\": 1"));
         assert!(json.contains("\"optimizer.fast.variants\": 46656"));
         assert!(json.contains("\"optimizer.pruned.cut_rate\": 0.125"));
@@ -231,7 +168,7 @@ mod tests {
 
     #[test]
     fn json_of_empty_snapshot_is_well_formed() {
-        let json = to_json(&MetricsRegistry::new().snapshot());
+        let json = pretty(&MetricsRegistry::new().snapshot());
         assert!(json.contains("\"counters\": {},"));
         assert!(json.contains("\"events\": []"));
     }
@@ -240,16 +177,89 @@ mod tests {
     fn json_escapes_details() {
         let r = MetricsRegistry::new();
         r.event("e", "line1\nline2 \"quoted\" back\\slash");
-        let json = to_json(&r.snapshot());
+        let json = pretty(&r.snapshot());
         assert!(json.contains("line1\\nline2 \\\"quoted\\\" back\\\\slash"));
     }
 
     #[test]
     fn json_numbers_keep_float_shape() {
-        assert_eq!(json_number(2.0), "2.0");
-        assert_eq!(json_number(0.5), "0.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(1e300), "1e300");
+        let r = MetricsRegistry::new();
+        r.gauge_set("g.two", 2.0);
+        r.gauge_set("g.half", 0.5);
+        r.gauge_set("g.nan", f64::NAN);
+        r.gauge_set("g.huge", 1e300);
+        r.observe("h", 7.0);
+        let json = pretty(&r.snapshot());
+        for member in [
+            "\"g.two\": 2.0",
+            "\"g.half\": 0.5",
+            "\"g.nan\": null",
+            "\"g.huge\": 1e300",
+            "\"sum\": 7.0",
+        ] {
+            assert!(json.contains(member), "{member} in {json}");
+        }
+    }
+
+    /// The document the hand-written exporter printed for this snapshot
+    /// before the snapshot serialized through serde: same members, same
+    /// numbers, same strings.
+    const PINNED_SNAPSHOT: &str = r#"{
+  "schema_version": 1,
+  "counters": {
+    "broker.sync.calls": 3,
+    "optimizer.variants": 18446744073709551615
+  },
+  "gauges": {
+    "g.half": 0.5,
+    "g.huge": 1e300,
+    "g.nan": null,
+    "g.two": 2.0
+  },
+  "histograms": {
+    "broker.sync.attempts": { "count": 4, "sum": 7.0, "min": 1.0, "max": 3.0, "p50": 2.0, "p95": 3.0, "p99": 3.0, "buckets": [{ "le": 1.0, "count": 1 }, { "le": 2.0, "count": 2 }, { "le": 4.0, "count": 4 }] }
+  },
+  "events": [
+    { "seq": 0, "name": "broker.breaker.opened", "detail": "line1\nline2 \"quoted\" back\\slash" }
+  ]
+}
+"#;
+
+    #[test]
+    fn snapshot_serializes_to_the_pinned_document() {
+        let snapshot = MetricsSnapshot {
+            schema_version: 1,
+            counters: vec![
+                ("broker.sync.calls".to_owned(), 3),
+                ("optimizer.variants".to_owned(), u64::MAX),
+            ],
+            gauges: vec![
+                ("g.half".to_owned(), 0.5),
+                ("g.huge".to_owned(), 1e300),
+                ("g.nan".to_owned(), f64::NAN),
+                ("g.two".to_owned(), 2.0),
+            ],
+            histograms: vec![HistogramSnapshot {
+                name: "broker.sync.attempts".to_owned(),
+                count: 4,
+                sum: 7.0,
+                min: 1.0,
+                max: 3.0,
+                p50: 2.0,
+                p95: 3.0,
+                p99: 3.0,
+                buckets: vec![(1.0, 1), (2.0, 2), (4.0, 4)],
+            }],
+            events: vec![EventRecord {
+                seq: 0,
+                name: "broker.breaker.opened".to_owned(),
+                detail: "line1\nline2 \"quoted\" back\\slash".to_owned(),
+            }],
+        };
+        let text = serde_json::to_string(&snapshot).expect("snapshot serializes");
+        let printed: Value = serde_json::from_str(&text).expect("printed document parses");
+        let pinned: Value = serde_json::from_str(PINNED_SNAPSHOT).expect("pinned document parses");
+        assert_eq!(printed, pinned);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! # uptime-obs
 //!
-//! Zero-dependency observability for the uptime broker: a lock-cheap
-//! metrics registry, wall-clock span timers, and a structured event ring
-//! buffer, all behind a [`Recorder`] trait whose no-op default makes
-//! instrumented hot paths cost nothing when observability is disabled.
+//! Observability for the uptime broker: a lock-cheap metrics registry,
+//! wall-clock span timers, and a structured event ring buffer, all behind
+//! a [`Recorder`] trait whose no-op default makes instrumented hot paths
+//! cost nothing when observability is disabled, plus the request-trace
+//! flight recorder ([`trace`]).
 //!
-//! The crate is deliberately std-only (not even the vendored workspace
-//! dependencies) so that any layer can depend on it without dragging
-//! anything into its hot loops. The optimizer engines and the simulator
-//! do not depend on it at all: the engines return their counts, and the
-//! broker records each engine call it makes.
+//! Its only dependencies are the vendored `serde` and `serde_json`: each
+//! observability document (the metrics snapshot, the trace export, the
+//! Chrome trace) is printed once, from the types' `Serialize` impls. The
+//! crates that link this one (the broker and the daemon) link both
+//! anyway. The optimizer engines and the simulator do not depend on it
+//! at all: the engines return their counts, and the broker records each
+//! engine call it makes.
 //!
 //! ## Architecture
 //!
@@ -28,8 +31,9 @@
 //! * [`EventRing`] — a bounded ring of structured events (breaker
 //!   transitions, quarantine verdicts, …) for "what just happened"
 //!   debugging without unbounded memory.
-//! * [`export`] — renders a [`MetricsSnapshot`] as a JSON document or in
-//!   Prometheus text exposition format (`brokerctl obs --json|--prom`).
+//! * [`export`] — the JSON shape of a [`MetricsSnapshot`] (its
+//!   `Serialize` impl) and the Prometheus text exposition format
+//!   (`brokerctl obs --json|--prom`).
 //!
 //! ## Naming convention
 //!
@@ -55,8 +59,8 @@
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("broker.sync.retries"), Some(3));
 //! assert_eq!(snapshot.counter("broker.recommend.calls"), Some(1));
-//! let json = uptime_obs::export::to_json(&snapshot);
-//! assert!(json.contains("\"broker.sync.retries\""));
+//! let json = serde_json::to_string_pretty(&snapshot).unwrap();
+//! assert!(json.contains("\"broker.sync.retries\": 3"));
 //! ```
 
 #![forbid(unsafe_code)]

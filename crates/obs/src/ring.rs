@@ -3,9 +3,11 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use serde::Serialize;
+
 /// One structured event: a monotonically-increasing sequence number, the
 /// event kind, and a human-readable detail payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EventRecord {
     /// Order of occurrence across the whole ring's lifetime (does not
     /// reset when old events are evicted).

@@ -20,10 +20,12 @@
 //! `splitmix64(trace_id)`, not a real RNG, so a given request is either
 //! always or never sampled — deterministic for tests.
 //!
-//! Everything is exported two ways: a schema'd JSON document
+//! Everything is exported two ways, each a [`Value`] built from the
+//! records' [`Serialize`] impls: a schema'd JSON document
 //! ([`traces_to_json`], `schemas/trace.schema.json`) and Chrome
 //! `trace_event` format ([`traces_to_chrome`]) loadable in
-//! `about:tracing` / Perfetto.
+//! `about:tracing` / Perfetto. The daemon's inline `explain` is a
+//! [`TraceRecord`]'s spans under a five-field envelope.
 //!
 //! Disabled tracing is free-ish: [`TraceSpan::disabled`] is an
 //! `Option::None` wrapper whose child/attr calls are no-ops, so an
@@ -34,7 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::export::{json_number, json_string};
+use serde::{Map, Serialize, Value};
+use serde_json::json;
 
 /// Version of the trace export document (`schemas/trace.schema.json`).
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -143,13 +146,14 @@ pub enum AttrValue {
     Flag(bool),
 }
 
-impl AttrValue {
-    fn to_json(&self) -> String {
+/// A bare JSON scalar; a non-finite float prints as `null`.
+impl Serialize for AttrValue {
+    fn to_value(&self) -> Value {
         match self {
-            AttrValue::U64(v) => v.to_string(),
-            AttrValue::F64(v) => json_number(*v),
-            AttrValue::Text(s) => json_string(s),
-            AttrValue::Flag(b) => b.to_string(),
+            AttrValue::U64(v) => v.to_value(),
+            AttrValue::F64(v) => v.to_value(),
+            AttrValue::Text(s) => s.to_value(),
+            AttrValue::Flag(b) => b.to_value(),
         }
     }
 }
@@ -169,6 +173,29 @@ pub struct SpanRecord {
     pub duration_ns: u64,
     /// Attributes attached while the span was live.
     pub attrs: Vec<(&'static str, AttrValue)>,
+}
+
+/// `attrs` becomes an object; a key recorded twice keeps its last value.
+impl Serialize for SpanRecord {
+    fn to_value(&self) -> Value {
+        json!({
+            "id": self.id,
+            "parent": self.parent,
+            "name": self.name,
+            "start_ns": self.start_ns,
+            "duration_ns": self.duration_ns,
+            "attrs": Value::Object(attr_members(&self.attrs).collect()),
+        })
+    }
+}
+
+/// Span attributes as object members, in recorded order.
+fn attr_members<'a>(
+    attrs: &'a [(&'static str, AttrValue)],
+) -> impl Iterator<Item = (String, Value)> + 'a {
+    attrs
+        .iter()
+        .map(|(key, value)| ((*key).to_owned(), value.to_value()))
 }
 
 /// The identity of a live span: 64-bit trace id + span id, the pair that
@@ -376,6 +403,22 @@ impl TraceRecord {
     }
 }
 
+/// The trace id in hex ([`TraceRecord::trace_id_hex`]) and the outcome as
+/// its wire string.
+impl Serialize for TraceRecord {
+    fn to_value(&self) -> Value {
+        json!({
+            "seq": self.seq,
+            "trace_id": self.trace_id_hex(),
+            "endpoint": self.endpoint,
+            "outcome": self.outcome.as_str(),
+            "total_ns": self.total_ns,
+            "kept_because": self.kept_because,
+            "spans": self.spans,
+        })
+    }
+}
+
 /// A trace being recorded: owns the root span, finishes (or is finished
 /// by its [`Drop`] impl, outcome included, if a panic unwinds past it).
 #[derive(Debug)]
@@ -463,9 +506,9 @@ impl Drop for ActiveTrace {
     }
 }
 
-/// Occupancy and loss counters — what `stats`/`health` surface so
-/// sampling loss is observable rather than silent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Occupancy and loss counters — what `stats` and the `traces` export
+/// surface so sampling loss is observable rather than silent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RecorderStats {
     /// Ring capacity.
     pub capacity: u64,
@@ -647,139 +690,50 @@ impl FlightRecorder {
     }
 }
 
-fn span_json(span: &SpanRecord) -> String {
-    let mut attrs = String::from("{");
-    for (i, (key, value)) in span.attrs.iter().enumerate() {
-        if i > 0 {
-            attrs.push_str(", ");
-        }
-        attrs.push_str(&json_string(key));
-        attrs.push_str(": ");
-        attrs.push_str(&value.to_json());
-    }
-    attrs.push('}');
-    format!(
-        "{{ \"id\": {}, \"parent\": {}, \"name\": {}, \"start_ns\": {}, \
-         \"duration_ns\": {}, \"attrs\": {} }}",
-        span.id,
-        span.parent,
-        json_string(span.name),
-        span.start_ns,
-        span.duration_ns,
-        attrs
-    )
-}
-
-fn trace_json(trace: &TraceRecord) -> String {
-    let mut spans = String::from("[");
-    for (i, span) in trace.spans.iter().enumerate() {
-        if i > 0 {
-            spans.push(',');
-        }
-        spans.push_str("\n      ");
-        spans.push_str(&span_json(span));
-    }
-    if !trace.spans.is_empty() {
-        spans.push_str("\n    ");
-    }
-    spans.push(']');
-    format!(
-        "{{\n    \"seq\": {}, \"trace_id\": {}, \"endpoint\": {}, \
-         \"outcome\": {}, \"total_ns\": {}, \"kept_because\": {},\n    \"spans\": {}\n  }}",
-        trace.seq,
-        json_string(&trace.trace_id_hex()),
-        json_string(&trace.endpoint),
-        json_string(trace.outcome.as_str()),
-        trace.total_ns,
-        json_string(trace.kept_because),
-        spans
-    )
-}
-
-/// Renders traces plus recorder counters as the schema'd JSON document
-/// (`schemas/trace.schema.json`) the `traces` endpoint and
-/// `brokerctl trace --json` emit.
+/// The schema'd export document (`schemas/trace.schema.json`) the
+/// `traces` endpoint and `brokerctl trace --json` emit: recorder counters
+/// plus the given traces.
 #[must_use]
-pub fn traces_to_json(traces: &[Arc<TraceRecord>], stats: &RecorderStats) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    let _ = std::fmt::Write::write_fmt(
-        &mut out,
-        format_args!(
-            "  \"schema_version\": {TRACE_SCHEMA_VERSION},\n  \"recorder\": {{ \
-             \"capacity\": {}, \"occupancy\": {}, \"completed\": {}, \"recorded\": {}, \
-             \"sampled_out\": {}, \"evicted\": {}, \"unwound\": {} }},\n",
-            stats.capacity,
-            stats.occupancy,
-            stats.completed,
-            stats.recorded,
-            stats.sampled_out,
-            stats.evicted,
-            stats.unwound
-        ),
-    );
-    out.push_str("  \"traces\": [");
-    for (i, trace) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  ");
-        out.push_str(&trace_json(trace));
-    }
-    if !traces.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n}\n");
-    out
+pub fn traces_to_json(traces: &[Arc<TraceRecord>], stats: &RecorderStats) -> Value {
+    let traces: Vec<Value> = traces.iter().map(|trace| trace.to_value()).collect();
+    json!({
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "recorder": stats,
+        "traces": traces,
+    })
 }
 
-/// Renders traces in Chrome `trace_event` format (the JSON-object form
-/// with a `traceEvents` array of complete `"X"` events), loadable in
+/// The traces in Chrome `trace_event` format (the JSON-object form with a
+/// `traceEvents` array of complete `"X"` events), loadable in
 /// `about:tracing` and Perfetto. Each trace becomes one "thread" (`tid` =
 /// completion seq) so overlapping requests stack instead of interleaving;
-/// timestamps are the in-trace offsets in microseconds.
+/// timestamps are the in-trace offsets in microseconds, and each event's
+/// `args` are the trace id, the outcome and the span's attributes (which
+/// win a name clash).
 #[must_use]
-pub fn traces_to_chrome(traces: &[Arc<TraceRecord>]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
+pub fn traces_to_chrome(traces: &[Arc<TraceRecord>]) -> Value {
+    let mut events = Vec::new();
     for trace in traces {
+        let trace_id = trace.trace_id_hex().to_value();
+        let outcome = trace.outcome.as_str().to_value();
         for span in &trace.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let mut args = format!(
-                "{{\"trace_id\": {}, \"outcome\": {}",
-                json_string(&trace.trace_id_hex()),
-                json_string(trace.outcome.as_str())
-            );
-            for (key, value) in &span.attrs {
-                args.push_str(", ");
-                args.push_str(&json_string(key));
-                args.push_str(": ");
-                args.push_str(&value.to_json());
-            }
-            args.push('}');
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "\n  {{\"name\": {}, \"cat\": {}, \"ph\": \"X\", \"ts\": {}, \
-                     \"dur\": {}, \"pid\": 1, \"tid\": {}, \"args\": {}}}",
-                    json_string(span.name),
-                    json_string(&trace.endpoint),
-                    json_number(span.start_ns as f64 / 1_000.0),
-                    json_number(span.duration_ns as f64 / 1_000.0),
-                    trace.seq,
-                    args
-                ),
-            );
+            let mut args = Map::new();
+            args.insert("trace_id".to_owned(), trace_id.clone());
+            args.insert("outcome".to_owned(), outcome.clone());
+            args.extend(attr_members(&span.attrs));
+            events.push(json!({
+                "name": span.name,
+                "cat": trace.endpoint,
+                "ph": "X",
+                "ts": span.start_ns as f64 / 1_000.0,
+                "dur": span.duration_ns as f64 / 1_000.0,
+                "pid": 1,
+                "tid": trace.seq,
+                "args": Value::Object(args),
+            }));
         }
     }
-    if !first {
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+    json!({ "displayTimeUnit": "ms", "traceEvents": events })
 }
 
 #[cfg(test)]
@@ -1000,14 +954,14 @@ mod tests {
             span.attr_flag("cached", true);
         }
         trace.finish(TraceOutcome::Ok).unwrap();
-        let json = traces_to_json(&fr.snapshot(), &fr.stats());
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"recorder\""));
+        let json = traces_to_json(&fr.snapshot(), &fr.stats()).to_string();
+        assert!(json.contains("\"schema_version\":1"));
+        assert!(json.contains("\"recorder\":{\"capacity\":256,"));
         assert!(json.contains("\"reco\\\"mmend\""));
         assert!(json.contains("\"hit \\\"quoted\\\"\""));
-        assert!(json.contains("\"ratio\": 0.5"));
-        assert!(json.contains("\"cached\": true"));
-        assert!(json.contains("\"kept_because\": \"sampled\""));
+        assert!(json.contains("\"ratio\":0.5"));
+        assert!(json.contains("\"cached\":true"));
+        assert!(json.contains("\"kept_because\":\"sampled\""));
         // Exactly 16 hex digits for the id.
         let id = fr.snapshot()[0].trace_id_hex();
         assert_eq!(id.len(), 16);
@@ -1020,14 +974,123 @@ mod tests {
         let trace = fr.begin(5, "recommend");
         drop(trace.root().child("serve.execute"));
         trace.finish(TraceOutcome::Ok).unwrap();
-        let chrome = traces_to_chrome(&fr.snapshot());
+        let chrome = traces_to_chrome(&fr.snapshot()).to_string();
         assert!(chrome.contains("\"traceEvents\""));
-        assert!(chrome.contains("\"ph\": \"X\""));
-        assert!(chrome.contains("\"name\": \"serve.execute\""));
-        assert!(chrome.contains("\"cat\": \"recommend\""));
-        assert!(chrome.contains("\"pid\": 1"));
+        assert!(chrome.contains("\"ph\":\"X\""));
+        assert!(chrome.contains("\"name\":\"serve.execute\""));
+        assert!(chrome.contains("\"cat\":\"recommend\""));
+        assert!(chrome.contains("\"pid\":1"));
         // Empty input still renders a valid document.
-        assert!(traces_to_chrome(&[]).contains("\"traceEvents\": []"));
+        assert!(traces_to_chrome(&[])
+            .to_string()
+            .contains("\"traceEvents\":[]"));
+    }
+
+    /// Traces covering every attribute kind, `u64::MAX`, the string
+    /// escapes, float edge cases and a span without attributes.
+    fn edge_records() -> Vec<Arc<TraceRecord>> {
+        let every_attr = vec![
+            ("max", AttrValue::U64(u64::MAX)),
+            ("zero", AttrValue::U64(0)),
+            ("half", AttrValue::F64(0.5)),
+            ("two", AttrValue::F64(2.0)),
+            ("neg_zero", AttrValue::F64(-0.0)),
+            ("tiny", AttrValue::F64(5e-324)),
+            ("huge", AttrValue::F64(1e300)),
+            ("nan", AttrValue::F64(f64::NAN)),
+            (
+                "text",
+                AttrValue::Text("q\"b\\s\nc\u{1}\u{8}\u{c}é€✓".to_owned()),
+            ),
+            ("yes", AttrValue::Flag(true)),
+            ("no", AttrValue::Flag(false)),
+        ];
+        let root = |duration_ns| SpanRecord {
+            id: 1,
+            parent: 0,
+            name: "serve.request",
+            start_ns: 0,
+            duration_ns,
+            attrs: Vec::new(),
+        };
+        vec![
+            Arc::new(TraceRecord {
+                seq: 0,
+                trace_id: u64::MAX,
+                endpoint: "re\"co\\m\nm\u{1}\u{8}\u{c}énd".to_owned(),
+                outcome: TraceOutcome::Error(503),
+                total_ns: u64::MAX,
+                kept_because: "error",
+                spans: vec![
+                    root(u64::MAX),
+                    SpanRecord {
+                        id: 2,
+                        parent: 1,
+                        name: "serve.execute",
+                        start_ns: 1,
+                        duration_ns: 2_500,
+                        attrs: every_attr,
+                    },
+                    SpanRecord {
+                        id: u64::MAX,
+                        parent: 2,
+                        name: "broker.render",
+                        start_ns: u64::MAX,
+                        duration_ns: 0,
+                        attrs: vec![("verdict", AttrValue::Text("miss".to_owned()))],
+                    },
+                ],
+            }),
+            Arc::new(TraceRecord {
+                seq: u64::MAX,
+                trace_id: 0xab,
+                endpoint: "recommend".to_owned(),
+                outcome: TraceOutcome::Ok,
+                total_ns: 12_345,
+                kept_because: "sampled",
+                spans: Vec::new(),
+            }),
+            Arc::new(TraceRecord {
+                seq: 3,
+                trace_id: 0,
+                endpoint: "frontier".to_owned(),
+                outcome: TraceOutcome::Shed,
+                total_ns: 0,
+                kept_because: "shed",
+                spans: vec![root(0)],
+            }),
+        ]
+    }
+
+    /// The compact wire bytes of [`edge_records`]' two exports, as the
+    /// daemon printed them when this crate wrote its own JSON text and the
+    /// daemon parsed that text back into a `Value`.
+    const PINNED_JSON: &str = r#"{"recorder":{"capacity":256,"completed":18446744073709551615,"evicted":6,"occupancy":3,"recorded":4,"sampled_out":5,"unwound":0},"schema_version":1,"traces":[{"endpoint":"re\"co\\m\nm\u0001\b\fénd","kept_because":"error","outcome":"error","seq":0,"spans":[{"attrs":{},"duration_ns":18446744073709551615,"id":1,"name":"serve.request","parent":0,"start_ns":0},{"attrs":{"half":0.5,"huge":1e300,"max":18446744073709551615,"nan":null,"neg_zero":-0.0,"no":false,"text":"q\"b\\s\nc\u0001\b\fé€✓","tiny":5e-324,"two":2.0,"yes":true,"zero":0},"duration_ns":2500,"id":2,"name":"serve.execute","parent":1,"start_ns":1},{"attrs":{"verdict":"miss"},"duration_ns":0,"id":18446744073709551615,"name":"broker.render","parent":2,"start_ns":18446744073709551615}],"total_ns":18446744073709551615,"trace_id":"ffffffffffffffff"},{"endpoint":"recommend","kept_because":"sampled","outcome":"ok","seq":18446744073709551615,"spans":[],"total_ns":12345,"trace_id":"00000000000000ab"},{"endpoint":"frontier","kept_because":"shed","outcome":"shed","seq":3,"spans":[{"attrs":{},"duration_ns":0,"id":1,"name":"serve.request","parent":0,"start_ns":0}],"total_ns":0,"trace_id":"0000000000000000"}]}"#;
+    const PINNED_CHROME: &str = r#"{"displayTimeUnit":"ms","traceEvents":[{"args":{"outcome":"error","trace_id":"ffffffffffffffff"},"cat":"re\"co\\m\nm\u0001\b\fénd","dur":1.844674407370955e16,"name":"serve.request","ph":"X","pid":1,"tid":0,"ts":0.0},{"args":{"half":0.5,"huge":1e300,"max":18446744073709551615,"nan":null,"neg_zero":-0.0,"no":false,"outcome":"error","text":"q\"b\\s\nc\u0001\b\fé€✓","tiny":5e-324,"trace_id":"ffffffffffffffff","two":2.0,"yes":true,"zero":0},"cat":"re\"co\\m\nm\u0001\b\fénd","dur":2.5,"name":"serve.execute","ph":"X","pid":1,"tid":0,"ts":0.001},{"args":{"outcome":"error","trace_id":"ffffffffffffffff","verdict":"miss"},"cat":"re\"co\\m\nm\u0001\b\fénd","dur":0.0,"name":"broker.render","ph":"X","pid":1,"tid":0,"ts":1.844674407370955e16},{"args":{"outcome":"shed","trace_id":"0000000000000000"},"cat":"frontier","dur":0.0,"name":"serve.request","ph":"X","pid":1,"tid":3,"ts":0.0}]}"#;
+
+    #[test]
+    fn exports_print_the_pinned_wire_bytes() {
+        let wire = |value: Value| serde_json::to_string(&value).expect("export prints");
+        let traces = edge_records();
+        let stats = RecorderStats {
+            capacity: 256,
+            occupancy: 3,
+            completed: u64::MAX,
+            recorded: 4,
+            sampled_out: 5,
+            evicted: 6,
+            unwound: 0,
+        };
+        assert_eq!(wire(traces_to_json(&traces, &stats)), PINNED_JSON);
+        assert_eq!(wire(traces_to_chrome(&traces)), PINNED_CHROME);
+        assert_eq!(
+            wire(traces_to_json(&[], &RecorderStats::default())),
+            r#"{"recorder":{"capacity":0,"completed":0,"evicted":0,"occupancy":0,"recorded":0,"sampled_out":0,"unwound":0},"schema_version":1,"traces":[]}"#
+        );
+        assert_eq!(
+            wire(traces_to_chrome(&[])),
+            r#"{"displayTimeUnit":"ms","traceEvents":[]}"#
+        );
     }
 
     #[test]

@@ -65,15 +65,12 @@ pub struct ServerConfig {
     /// unbounded line would otherwise let one client buffer the daemon
     /// into the ground.
     pub max_frame_bytes: usize,
-    /// Request-trace tuning. With `trace.enabled = false` the daemon
-    /// serves with tracing fully inert (no recorder, no spans, no
-    /// atomics) and `traces`/`explain` report tracing as unavailable.
+    /// Request-trace tuning. With `trace.enabled` the daemon builds its
+    /// flight recorder from it ([`ServerHandle::flight_recorder`]); with
+    /// `trace.enabled = false` the daemon serves with tracing fully inert
+    /// (no recorder, no spans, no atomics) and `traces`/`explain` report
+    /// tracing as unavailable.
     pub trace: TraceConfig,
-    /// A pre-built flight recorder to land traces in — share one with
-    /// the backend so its spans and the daemon's frame spans join the
-    /// same ring. `None` with `trace.enabled` makes the daemon build its
-    /// own private recorder.
-    pub flight_recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl Default for ServerConfig {
@@ -86,7 +83,6 @@ impl Default for ServerConfig {
             read_timeout_ms: 30_000,
             max_frame_bytes: 1024 * 1024,
             trace: TraceConfig::default(),
-            flight_recorder: None,
         }
     }
 }
@@ -138,16 +134,10 @@ impl Server {
         config: ServerConfig,
         registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<ServerHandle> {
-        let tracer = if config.trace.enabled {
-            Some(
-                config
-                    .flight_recorder
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(FlightRecorder::new(config.trace))),
-            )
-        } else {
-            None
-        };
+        let tracer = config
+            .trace
+            .enabled
+            .then(|| Arc::new(FlightRecorder::new(config.trace)));
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -577,7 +567,7 @@ fn handle_job(shared: &Arc<Shared>, job: Job) {
             let cache_label = sanitize_endpoint(endpoint);
             let epoch_now = shared.backend.epoch();
             let lookup = {
-                let mut cache_span = trace.root().child("serve.cache.lookup");
+                let mut cache_span = trace.root().child("serve.cache_lookup");
                 let lookup = shared.cache.lookup(fingerprint, epoch_now);
                 cache_span.attr_text(
                     "verdict",
@@ -800,21 +790,15 @@ fn cache_by_endpoint(snap: &uptime_obs::MetricsSnapshot) -> Value {
     Value::Object(body)
 }
 
-/// The flight-recorder section of `stats` and `health` bodies: occupancy
-/// and drop counters, all zero (with `enabled: false`) when tracing is
-/// off.
+/// The flight-recorder section of the `stats` body: the recorder's
+/// occupancy and loss counters plus `enabled`, all zero (with `enabled:
+/// false`) when tracing is off.
 fn trace_stats_value(tracer: Option<&FlightRecorder>) -> Value {
-    let stats = tracer.map(FlightRecorder::stats).unwrap_or_default();
-    serde_json::json!({
-        "enabled": tracer.is_some(),
-        "capacity": stats.capacity,
-        "occupancy": stats.occupancy,
-        "completed": stats.completed,
-        "recorded": stats.recorded,
-        "sampled_out": stats.sampled_out,
-        "evicted": stats.evicted,
-        "unwound": stats.unwound,
-    })
+    let mut section = serde_json::to_value(&tracer.map(FlightRecorder::stats).unwrap_or_default());
+    if let Value::Object(members) = &mut section {
+        members.insert("enabled".to_owned(), Value::Bool(tracer.is_some()));
+    }
+    section
 }
 
 /// Serves the `traces` endpoint: exports the flight-recorder contents.
@@ -838,52 +822,24 @@ fn traces_body(shared: &Shared, params: &Value) -> Result<Value, String> {
     } else {
         tracer.snapshot()
     };
-    let text = match format {
-        "json" => uptime_obs::traces_to_json(&traces, &tracer.stats()),
-        "chrome" => uptime_obs::traces_to_chrome(&traces),
-        other => {
-            return Err(format!(
-                "unknown trace format `{other}` (expected `json` or `chrome`)"
-            ))
-        }
-    };
-    serde_json::from_str(&text).map_err(|err| format!("trace export did not parse: {err}"))
+    match format {
+        "json" => Ok(uptime_obs::traces_to_json(&traces, &tracer.stats())),
+        "chrome" => Ok(uptime_obs::traces_to_chrome(&traces)),
+        other => Err(format!(
+            "unknown trace format `{other}` (expected `json` or `chrome`)"
+        )),
+    }
 }
 
 /// The inline `explain` payload: the request's own span tree, compact
 /// enough to ride beside the answer without re-querying `traces`.
 fn explain_value(record: &TraceRecord) -> Value {
-    use uptime_obs::trace::AttrValue;
-    let spans: Vec<Value> = record
-        .spans
-        .iter()
-        .map(|span| {
-            let mut attrs = serde::Map::new();
-            for (key, value) in &span.attrs {
-                let json = match value {
-                    AttrValue::U64(v) => serde_json::json!(*v),
-                    AttrValue::F64(v) => serde_json::json!(*v),
-                    AttrValue::Text(v) => serde_json::json!(v),
-                    AttrValue::Flag(v) => serde_json::json!(*v),
-                };
-                attrs.insert((*key).to_owned(), json);
-            }
-            serde_json::json!({
-                "id": span.id,
-                "parent": span.parent,
-                "name": span.name,
-                "start_ns": span.start_ns,
-                "duration_ns": span.duration_ns,
-                "attrs": Value::Object(attrs),
-            })
-        })
-        .collect();
     serde_json::json!({
         "trace_id": record.trace_id_hex(),
         "outcome": record.outcome.as_str(),
         "total_ns": record.total_ns,
         "sampled": record.kept_because,
-        "spans": spans,
+        "spans": record.spans,
     })
 }
 
@@ -973,5 +929,71 @@ mod tests {
         via_serde.push('\n');
         let spliced = render_ok_line(42, 7, false, false, &body_text, Some(&explain_text));
         assert_eq!(spliced, via_serde);
+    }
+
+    /// `explain` prints the bytes it printed when it encoded each span
+    /// itself: every attribute kind, `u64::MAX`, the string escapes, float
+    /// edge cases and a span without attributes.
+    #[test]
+    fn explain_prints_the_pinned_wire_bytes() {
+        use uptime_obs::trace::{AttrValue, SpanRecord};
+        let root = SpanRecord {
+            id: 1,
+            parent: 0,
+            name: "serve.request",
+            start_ns: 0,
+            duration_ns: u64::MAX,
+            attrs: Vec::new(),
+        };
+        let execute = SpanRecord {
+            id: 2,
+            parent: 1,
+            name: "serve.execute",
+            start_ns: 1,
+            duration_ns: 2_500,
+            attrs: vec![
+                ("max", AttrValue::U64(u64::MAX)),
+                ("half", AttrValue::F64(0.5)),
+                ("two", AttrValue::F64(2.0)),
+                ("neg_zero", AttrValue::F64(-0.0)),
+                ("tiny", AttrValue::F64(5e-324)),
+                ("huge", AttrValue::F64(1e300)),
+                ("nan", AttrValue::F64(f64::NAN)),
+                (
+                    "text",
+                    AttrValue::Text("q\"b\\s\nc\u{1}\u{8}\u{c}é€✓".to_owned()),
+                ),
+                ("leader", AttrValue::Flag(true)),
+            ],
+        };
+        let record = TraceRecord {
+            seq: 9,
+            trace_id: u64::MAX,
+            endpoint: "recommend".to_owned(),
+            outcome: TraceOutcome::Error(500),
+            total_ns: u64::MAX,
+            kept_because: "error",
+            spans: vec![root, execute],
+        };
+        let wire = |record: &TraceRecord| {
+            serde_json::to_string(&explain_value(record)).expect("explain prints")
+        };
+        assert_eq!(
+            wire(&record),
+            r#"{"outcome":"error","sampled":"error","spans":[{"attrs":{},"duration_ns":18446744073709551615,"id":1,"name":"serve.request","parent":0,"start_ns":0},{"attrs":{"half":0.5,"huge":1e300,"leader":true,"max":18446744073709551615,"nan":null,"neg_zero":-0.0,"text":"q\"b\\s\nc\u0001\b\fé€✓","tiny":5e-324,"two":2.0},"duration_ns":2500,"id":2,"name":"serve.execute","parent":1,"start_ns":1}],"total_ns":18446744073709551615,"trace_id":"ffffffffffffffff"}"#
+        );
+        let sampled = TraceRecord {
+            seq: 0,
+            trace_id: 0xab,
+            endpoint: "x".to_owned(),
+            outcome: TraceOutcome::Ok,
+            total_ns: 5,
+            kept_because: "sampled",
+            spans: Vec::new(),
+        };
+        assert_eq!(
+            wire(&sampled),
+            r#"{"outcome":"ok","sampled":"sampled","spans":[],"total_ns":5,"trace_id":"00000000000000ab"}"#
+        );
     }
 }

@@ -518,6 +518,13 @@ fn call_raw(client: &mut Client, frame: &RequestFrame) -> String {
     line
 }
 
+/// A checked-in wire schema from `schemas/`.
+fn schema(name: &str) -> Value {
+    let path = format!("{}/../../schemas/{name}", env!("CARGO_MANIFEST_DIR"));
+    serde_json::from_str(&std::fs::read_to_string(path).expect("schema readable"))
+        .expect("schema parses")
+}
+
 fn start_with_trace(
     backend: Arc<dyn ServeBackend>,
     trace: uptime_obs::TraceConfig,
@@ -580,7 +587,7 @@ fn explain_returns_span_breakdown_and_leaves_answer_untouched() {
         .filter_map(|s| s.get("name").and_then(Value::as_str))
         .collect();
     assert!(names.contains(&"serve.request"), "{names:?}");
-    assert!(names.contains(&"serve.cache.lookup"), "{names:?}");
+    assert!(names.contains(&"serve.cache_lookup"), "{names:?}");
     // The second identical request is a cache hit: it neither executes
     // nor renders.
     assert!(!names.contains(&"serve.execute"), "{names:?}");
@@ -635,13 +642,7 @@ fn traces_endpoint_matches_published_schema() {
     let response = client.call(&RequestFrame::new(9, "traces", serde_json::json!({})));
     assert_eq!(response.code, code::OK);
     let body = response.body.expect("traces body");
-    let schema_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../schemas/trace.schema.json"
-    );
-    let schema: Value =
-        serde_json::from_str(&std::fs::read_to_string(schema_path).expect("schema readable"))
-            .expect("schema parses");
+    let schema = schema("trace.schema.json");
     uptime_serve::schema::assert_valid(&body, &schema);
 
     let traces = body
@@ -684,6 +685,53 @@ fn traces_endpoint_matches_published_schema() {
         .all(|e| e.get("ph").and_then(Value::as_str) == Some("X")));
 
     handle.shutdown();
+}
+
+#[test]
+fn live_documents_validate_against_their_schemas() {
+    let mut handle = start_with_trace(Arc::new(backend()), uptime_obs::TraceConfig::default());
+    let mut client = Client::connect(handle.local_addr());
+    let response_schema = schema("serve_response.schema.json");
+
+    // An explained cold miss and its cached repeat, each validated as the
+    // whole frame the daemon wrote.
+    for (id, cached) in [(1, false), (2, true)] {
+        let line = call_raw(&mut client, &recommend_frame(id, 98.0).with_explain(true));
+        let frame: Value = serde_json::from_str(&line).expect("response line parses");
+        uptime_serve::schema::assert_valid(&frame, &response_schema);
+        assert_eq!(frame.get("cached").and_then(Value::as_bool), Some(cached));
+        assert!(frame.get("explain").is_some(), "explain requested: {line}");
+    }
+
+    let health = client.call(&RequestFrame::new(3, "health", Value::Null));
+    assert_eq!(health.code, code::OK, "{health:?}");
+    let body = health.body.expect("health body");
+    uptime_serve::schema::assert_valid(&body, &schema("health.schema.json"));
+
+    handle.shutdown();
+}
+
+#[test]
+fn stats_report_the_daemons_own_flight_recorder() {
+    let trace_section = |trace: uptime_obs::TraceConfig| {
+        let mut handle = start_with_trace(Arc::new(backend()), trace);
+        let mut client = Client::connect(handle.local_addr());
+        let stats = client.call(&RequestFrame::new(1, "stats", Value::Null));
+        handle.shutdown();
+        stats
+            .body
+            .and_then(|body| body.get("trace").cloned())
+            .expect("stats carries a trace section")
+    };
+    let traced = trace_section(uptime_obs::TraceConfig::default());
+    assert_eq!(traced.get("enabled").and_then(Value::as_bool), Some(true));
+    assert_eq!(traced.get("capacity").and_then(Value::as_u64), Some(256));
+    let untraced = trace_section(uptime_obs::TraceConfig::disabled());
+    assert_eq!(
+        untraced.get("enabled").and_then(Value::as_bool),
+        Some(false)
+    );
+    assert_eq!(untraced.get("capacity").and_then(Value::as_u64), Some(0));
 }
 
 #[test]
